@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from . import generate
 from .domination import (
@@ -26,8 +26,9 @@ from .domination import (
     exact_gamma,
     exact_gamma_c,
 )
-from .graphs import Graph, bits, degree_stats, induces_connected, is_dominating, vset
-from .planar import Triangulation, canonical_code, triangulation_from_code, underlying_graph
+from .graphs import Graph, bits, induces_connected, is_dominating, vset
+from .planar import (Triangulation, canonical_code, planar_code_read, triangulation_from_code,
+                     underlying_graph, verify_triangulation)
 
 GAMMA_C_COLUMNS = (1, 2, 3, 4, 5)
 
@@ -133,7 +134,7 @@ def _classify_payload(rot) -> Tuple[int, int, str]:
     return cert.value, cert.witness, cert.method
 
 
-def _classify_level(level: Sequence[Triangulation], workers: int):
+def _classify_level(level: Collection[Triangulation], workers: int):
     """Classify a level; result order matches input order for any worker count."""
     payloads = [t.rot for t in level]
     if workers <= 1 or len(level) < 64:
@@ -145,32 +146,35 @@ def _classify_level(level: Sequence[Triangulation], workers: int):
 
 
 def census_records(n_min: int = 5, n_max: int = 11, workers: int = 1,
-                   levels: Optional[Iterable[Tuple[int, List[Triangulation]]]] = None,
+                   levels: Optional[Iterable[Tuple[int, Dict[bytes, Triangulation]]]] = None,
                    ) -> Tuple[List[CensusRow], List[CensusRecord]]:
     """Classify every triangulation of each order in [n_min, n_max].
 
-    Returns per-order rows plus one record per graph, sorted by canonical
-    code within each order.  A pre-generated level iterable (or one decoded
-    from an external planar_code file) may be supplied in place of native
-    generation.
+    Returns per-order rows plus one record per graph, in code order.  The
+    levels (code -> canonical form) come from ``generate.levels`` unless an
+    iterable of them, say from ``levels_from_planar_code``, is supplied.  A
+    row's wall_time runs from the previous row (or the call's start), so it
+    covers producing the level, skipped lower orders included, and
+    classifying it; the rows sum to the call.
     """
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
     rows: List[CensusRow] = []
     records: List[CensusRecord] = []
     source = levels if levels is not None else generate.levels(n_max)
+    t0 = time.perf_counter()
     for n, level in source:
         if n < n_min or n > n_max:
             continue
-        t0 = time.perf_counter()
-        results = _classify_level(level, workers)
+        results = _classify_level(level.values(), workers)
         counts: Dict[int, int] = {}
-        for t, (value, witness, method) in zip(level, results):
+        for (code, t), (value, witness, method) in zip(level.items(), results):
             counts[value] = counts.get(value, 0) + 1
-            _, dmax, _ = degree_stats(underlying_graph(t))
-            records.append(CensusRecord(n, canonical_code(t), t.rot, value,
-                                        witness, method, dmax))
-        rows.append(CensusRow(n, len(level), counts, time.perf_counter() - t0))
+            records.append(CensusRecord(n, code, t.rot, value, witness, method,
+                                        max(map(len, t.rot))))
+        t1 = time.perf_counter()
+        rows.append(CensusRow(n, len(level), counts, t1 - t0))
+        t0 = t1
     return rows, records
 
 
@@ -180,17 +184,19 @@ def run_census(n_min: int = 5, n_max: int = 11, workers: int = 1) -> List[Census
     return rows
 
 
-def levels_from_planar_code(data: bytes) -> List[Tuple[int, List[Triangulation]]]:
-    """Group an external planar_code corpus into generator-style levels."""
-    from .planar import canonical_form, planar_code_read, verify_triangulation
-    by_n: Dict[int, Dict[bytes, Triangulation]] = {}
+def levels_from_planar_code(data: bytes) -> List[Tuple[int, Dict[bytes, Triangulation]]]:
+    """Group an external planar_code corpus into generator-style levels.
+
+    Every input is validated and coded once; each class is decoded once
+    into its canonical form, so the levels match ``generate.levels``.
+    """
+    by_n: Dict[int, Set[bytes]] = {}
     for t in planar_code_read(data):
         report = verify_triangulation(t)
         if not report.ok:
             raise ValueError(f"ingested graph is not a triangulation: {report.problem}")
-        form = canonical_form(t)
-        by_n.setdefault(t.n, {})[canonical_code(form)] = form
-    return [(n, [by_n[n][c] for c in sorted(by_n[n])]) for n in sorted(by_n)]
+        by_n.setdefault(t.n, set()).add(canonical_code(t))
+    return [(n, generate.level_from_codes(by_n[n])) for n in sorted(by_n)]
 
 
 @dataclass(frozen=True)

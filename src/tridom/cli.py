@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import CodeType
 from typing import List, Optional
 
 from . import census as census_mod
@@ -23,6 +24,7 @@ from .planar import (
     planar_code_read,
     planar_code_write,
     underlying_graph,
+    verify_triangulation,
 )
 
 
@@ -77,6 +79,9 @@ def _cmd_solve(args) -> int:
     for idx, item in enumerate(items):
         try:
             if isinstance(item, Triangulation):
+                report = verify_triangulation(item)
+                if not report.ok:
+                    raise ValueError(f"not a triangulation: {report.problem}")
                 cert = classify(item)
                 g = underlying_graph(item)
             else:
@@ -95,22 +100,12 @@ def _cmd_solve(args) -> int:
     return 1 if failures else 0
 
 
-def _census_range(args) -> tuple:
-    n_max = args.n_max
-    if args.long:
-        n_max = max(n_max, 14)
-    elif args.extended:
-        n_max = max(n_max, 13)
-    return args.n_min, n_max
-
-
 def _cmd_census(args) -> int:
-    n_min, n_max = _census_range(args)
     levels = None
     if args.input:
         with open(args.input, "rb") as fh:
             levels = census_mod.levels_from_planar_code(fh.read())
-    rows, records = census_mod.census_records(n_min, n_max, args.workers, levels=levels)
+    rows, records = census_mod.census_records(args.n_min, args.n_max, args.workers, levels=levels)
     print(f"{'n':>4} {'total':>9} " + " ".join(f"gc={v:<5}" for v in census_mod.GAMMA_C_COLUMNS)
           + "  seconds")
     for row in rows:
@@ -145,8 +140,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n_min, n_max = _census_range(args)
-    _, records = census_mod.census_records(n_min, n_max, args.workers)
+    _, records = census_mod.census_records(args.n_min, args.n_max, args.workers)
     report = census_mod.verify_corpus(records, cross_solver_max_n=args.cross_max_n)
     for line in report.violations:
         print(f"VIOLATION {line}")
@@ -156,12 +150,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    n_min, n_max = _census_range(args)
-    _, records = census_mod.census_records(n_min, n_max, args.workers)
     code = compile(args.where, "<where>", "eval")
+    if any(isinstance(const, CodeType) for const in code.co_consts):
+        # names in a nested scope would escape the check below
+        raise SystemExit("no comprehensions or lambdas in --where")
     for name in code.co_names:
         if name not in ("n", "gamma", "gamma_c", "Delta"):
             raise SystemExit(f"unknown name {name!r} in --where (use n, gamma, gamma_c, Delta)")
+    _, records = census_mod.census_records(args.n_min, args.n_max, args.workers)
 
     def predicate(rec) -> bool:
         env = {"n": rec.n, "gamma_c": rec.gamma_c, "Delta": rec.Delta}
@@ -174,6 +170,12 @@ def _cmd_extremal(args) -> int:
         print(json.dumps(rec.to_dict()))
     print(f"{len(hits)} graphs match", file=sys.stderr)
     return 0
+
+
+def _add_census_range(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n-min", type=int, default=5)
+    p.add_argument("--n-max", type=int, default=11, help="highest order (13: the paper's census)")
+    p.add_argument("--workers", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,11 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_solve)
 
     c = sub.add_parser("census", help="count triangulations by connected domination number")
-    c.add_argument("--n-min", type=int, default=5)
-    c.add_argument("--n-max", type=int, default=11)
-    c.add_argument("--workers", type=int, default=1)
-    c.add_argument("--extended", action="store_true", help="include orders 12 and 13")
-    c.add_argument("--long", action="store_true", help="include order 14 (slow)")
+    _add_census_range(c)
     c.add_argument("--compare", action="store_true", help="diff against the reference table")
     c.add_argument("--csv", default=None, help="write rows as CSV")
     c.add_argument("--json", default=None, help="write rows and records as JSON")
@@ -218,21 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=_cmd_family)
 
     v = sub.add_parser("verify", help="re-verify structural properties over the census")
-    v.add_argument("--n-min", type=int, default=5)
-    v.add_argument("--n-max", type=int, default=11)
-    v.add_argument("--workers", type=int, default=1)
-    v.add_argument("--extended", action="store_true")
-    v.add_argument("--long", action="store_true")
+    _add_census_range(v)
     v.add_argument("--cross-max-n", type=int, default=10,
                    help="cross-check both solvers up to this order")
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("extremal", help="filter census graphs by a predicate")
-    e.add_argument("--n-min", type=int, default=5)
-    e.add_argument("--n-max", type=int, default=11)
-    e.add_argument("--workers", type=int, default=1)
-    e.add_argument("--extended", action="store_true")
-    e.add_argument("--long", action="store_true")
+    _add_census_range(e)
     e.add_argument("--where", required=True,
                    help="expression over n, gamma, gamma_c, Delta, e.g. 'gamma_c > gamma + 1'")
     e.set_defaults(func=_cmd_extremal)

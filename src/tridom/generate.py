@@ -13,7 +13,7 @@ but raise when one of the expansion functions is called directly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .planar import Face, Triangulation, canonical_code, faces, is_face, triangulation_from_code
 
@@ -150,31 +150,32 @@ def successors(t: Triangulation) -> Iterator[Triangulation]:
                 yield expand_deg5(t, a, x1)
 
 
-def levels(n_max: int) -> Iterator[Tuple[int, List[Triangulation]]]:
-    """Yield (order, triangulations) level by level from K4 up to n_max.
+def levels(n_max: int) -> Iterator[Tuple[int, Dict[bytes, Triangulation]]]:
+    """Yield (order, level) level by level from K4 up to n_max.
 
-    Each level lists canonical representatives sorted by canonical code, so
-    the output is independent of expansion order.
+    A level maps the canonical code of each class to its canonical form
+    (``triangulation_from_code`` of the code), in code order, so the output
+    is independent of expansion order and every code is computed once.  The
+    next level is expanded from the yielded one, so callers must not change it.
     """
     if not MIN_ORDER <= n_max <= MAX_ORDER:
         raise ValueError(f"order must be in {MIN_ORDER}..{MAX_ORDER}, got {n_max}")
-    current = [canonical_code(K4)]
-    yield 4, [triangulation_from_code(c) for c in current]
+    level = level_from_codes([canonical_code(K4)])
+    yield 4, level
     for n in range(5, n_max + 1):
-        seen: Dict[bytes, None] = {}
-        for code in current:
-            parent = triangulation_from_code(code)
-            for child in successors(parent):
-                ccode = canonical_code(child)
-                if ccode not in seen:
-                    seen[ccode] = None
-        current = sorted(seen)
-        yield n, [triangulation_from_code(c) for c in current]
+        level = level_from_codes({canonical_code(child) for parent in level.values()
+                                  for child in successors(parent)})
+        yield n, level
+
+
+def level_from_codes(codes: Iterable[bytes]) -> Dict[bytes, Triangulation]:
+    """The level holding the classes with these canonical codes."""
+    return {c: triangulation_from_code(c) for c in sorted(codes)}
 
 
 def triangulations(n: int) -> List[Triangulation]:
     """All plane triangulations of order n, one canonical form per class."""
     for order, level in levels(n):
         if order == n:
-            return level
+            return list(level.values())
     raise AssertionError("unreachable")

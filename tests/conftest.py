@@ -12,16 +12,23 @@ import tridom as td
 
 @pytest.fixture(scope="session")
 def levels_to_9():
-    return {n: level for n, level in td.levels(9)}
+    """Order -> list of canonical forms, in code order."""
+    return {n: list(level.values()) for n, level in td.levels(9)}
 
 
 @pytest.fixture(scope="session")
-def levels_to_11():
-    return {n: level for n, level in td.levels(11)}
+def code_levels_to_11():
+    """Order -> level (canonical code -> canonical form), as td.levels yields it."""
+    return dict(td.levels(11))
 
 
 @pytest.fixture(scope="session")
-def census_default(levels_to_11):
+def levels_to_11(code_levels_to_11):
+    return {n: list(level.values()) for n, level in code_levels_to_11.items()}
+
+
+@pytest.fixture(scope="session")
+def census_default(code_levels_to_11):
     """Rows and records for the default census range 5..11."""
-    rows, records = td.census_records(5, 11, levels=sorted(levels_to_11.items()))
+    rows, records = td.census_records(5, 11, levels=sorted(code_levels_to_11.items()))
     return rows, records

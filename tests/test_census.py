@@ -1,5 +1,9 @@
+import random
+import time
+
 import pytest
 
+from tridom import census, generate, planar
 from tridom.census import (
     CensusRow,
     REFERENCE_CENSUS,
@@ -15,9 +19,9 @@ from tridom.census import (
     verify_corpus,
 )
 from tridom.domination import exact_gamma_c
-from tridom.generate import triangulations
+from tridom.generate import levels, successors, triangulations
 from tridom.graphs import induces_connected, is_dominating
-from tridom.planar import planar_code_write
+from tridom.planar import mirror, planar_code_write, relabel
 
 
 def test_census_counts_small(census_default):
@@ -161,3 +165,50 @@ def test_levels_from_planar_code_rejects_non_triangulations():
     data = planar_code_write([square])
     with pytest.raises(ValueError):
         levels_from_planar_code(data)
+
+
+def test_row_time_covers_generation():
+    def slow_levels():
+        for n, level in levels(6):
+            time.sleep(0.05)
+            yield n, level
+
+    rows, _ = census_records(5, 6, levels=slow_levels())
+    assert [r.n for r in rows] == [5, 6]
+    assert all(r.wall_time >= 0.05 for r in rows)
+
+
+def _count_codings(monkeypatch):
+    """Count canonical_code calls made through the modules that code."""
+    calls = []
+
+    def counted(t, _code=planar.canonical_code):
+        calls.append(t.n)
+        return _code(t)
+
+    for module in (planar, generate, census):
+        monkeypatch.setattr(module, "canonical_code", counted)
+    return calls
+
+
+def test_census_codes_each_child_once(monkeypatch):
+    children = sum(1 for n in range(4, 8) for t in triangulations(n) for _ in successors(t))
+    calls = _count_codings(monkeypatch)
+    _, records = census_records(5, 8)
+    assert len(records) == 1 + 2 + 5 + 14
+    assert len(calls) == 1 + children  # K4, then every child of orders 4..7
+
+
+def test_ingest_codes_each_input_once(monkeypatch):
+    rng = random.Random(3)
+    ts = []
+    for t in triangulations(7) + triangulations(8):
+        perm = list(range(t.n))
+        rng.shuffle(perm)
+        ts += [relabel(t, perm), mirror(relabel(t, perm[::-1]))]
+    data = planar_code_write(ts)
+    native = [c for n, level in levels(8) if n >= 7 for c in level]
+    calls = _count_codings(monkeypatch)
+    _, records = census_records(7, 8, levels=levels_from_planar_code(data))
+    assert len(calls) == len(ts)
+    assert [r.code for r in records] == native

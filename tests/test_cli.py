@@ -4,7 +4,7 @@ import pytest
 
 from tridom.cli import main
 from tridom.graphs import graph6_read
-from tridom.planar import planar_code_read, planar_code_write
+from tridom.planar import Triangulation, planar_code_read, planar_code_write
 from tridom.families import octahedron
 from tridom.generate import triangulations
 
@@ -59,6 +59,16 @@ def test_solve_reports_errors_per_graph(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert json.loads(lines[0])["gamma_c"] == 1
     assert "disconnected" in json.loads(lines[1])["error"]
+
+
+def test_solve_rejects_non_triangulation_and_answers_the_rest(tmp_path, capsys):
+    inp = tmp_path / "bad_then_octahedron.plc"
+    bad = Triangulation(4, ((1, 2, 3), (0, 2), (0, 1, 3), (0, 1, 2)))  # vertex 1 lacks 3
+    inp.write_bytes(planar_code_write([bad, octahedron()]))
+    assert main(["solve", "--input", str(inp)]) == 1
+    first, second = map(json.loads, capsys.readouterr().out.strip().splitlines())
+    assert first["index"] == 0 and "asymmetric adjacency" in first["error"]
+    assert second["index"] == 1 and second["gamma_c"] == 2
 
 
 def test_census_compare_clean_range(capsys):
@@ -129,5 +139,6 @@ def test_extremal_where(capsys):
 
 
 def test_extremal_rejects_unknown_names():
-    with pytest.raises(SystemExit):
-        main(["extremal", "--n-max", "6", "--where", "__import__('os')"])
+    for where in ("__import__('os')", "[x.bit_length() for x in [n]][0] > 0"):
+        with pytest.raises(SystemExit):
+            main(["extremal", "--n-max", "6", "--where", where])
