@@ -11,21 +11,35 @@ import argparse
 import json
 import sys
 from types import CodeType
-from typing import List, Optional
+from typing import Iterator, List, Optional, Union
 
 from . import census as census_mod
 from . import generate as generate_mod
 from .domination import classify, exact_gamma, exact_gamma_c
 from .families import FamilySpec
-from .graphs import bits, graph6_read, graph6_write
+from .graphs import Graph, bits, graph6_read, graph6_write
 from .planar import (
     Triangulation,
     canonical_code,
-    planar_code_read,
+    planar_code_iter,
     planar_code_write,
     underlying_graph,
     verify_triangulation,
 )
+
+
+class UsageError(Exception):
+    """Bad command-line input; reported by argparse with exit status 2."""
+
+
+def _read_bytes(path: Optional[str]) -> bytes:
+    if path is None or path == "-":
+        return sys.stdin.buffer.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _write_bytes(path: Optional[str], data: bytes) -> None:
@@ -63,21 +77,34 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _read_input(path: Optional[str], fmt: str):
+def _read_input(path: Optional[str], fmt: str
+                ) -> Iterator[Union[Triangulation, Graph, ValueError]]:
+    """Input items in order; one that cannot be parsed comes as its error.
+
+    A bad graph6 line costs only that line.  A bad planar_code record ends
+    the stream, since the records after it cannot be located.
+    """
+    data = _read_bytes(path)
     if fmt == "planar_code":
-        data = sys.stdin.buffer.read() if path in (None, "-") else open(path, "rb").read()
-        return planar_code_read(data)
-    if fmt == "graph6":
-        text = sys.stdin.read() if path in (None, "-") else open(path, "r", encoding="utf-8").read()
-        return [graph6_read(line) for line in text.splitlines() if line.strip()]
-    raise ValueError(f"cannot read format {fmt}")
+        try:
+            yield from planar_code_iter(data)
+        except ValueError as exc:
+            yield exc
+        return
+    for line in data.decode("ascii", errors="replace").splitlines():
+        if line.strip():
+            try:
+                yield graph6_read(line)
+            except ValueError as exc:
+                yield exc
 
 
 def _cmd_solve(args) -> int:
-    items = _read_input(args.input, args.format)
     failures = 0
-    for idx, item in enumerate(items):
+    for idx, item in enumerate(_read_input(args.input, args.format)):
         try:
+            if isinstance(item, ValueError):
+                raise item
             if isinstance(item, Triangulation):
                 report = verify_triangulation(item)
                 if not report.ok:
@@ -100,11 +127,26 @@ def _cmd_solve(args) -> int:
     return 1 if failures else 0
 
 
+def _check_range(args, generating: bool = True) -> None:
+    if args.n_min > args.n_max:
+        raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if generating and not generate_mod.MIN_ORDER <= args.n_max <= generate_mod.MAX_ORDER:
+        raise UsageError(f"--n-max must be in {generate_mod.MIN_ORDER}..{generate_mod.MAX_ORDER}"
+                         f" to generate, got {args.n_max}")
+
+
 def _cmd_census(args) -> int:
     levels = None
+    _check_range(args, generating=not args.input)
     if args.input:
-        with open(args.input, "rb") as fh:
-            levels = census_mod.levels_from_planar_code(fh.read())
+        try:
+            levels = census_mod.levels_from_planar_code(_read_bytes(args.input))
+        except ValueError as exc:
+            raise UsageError(f"{args.input}: {exc}") from exc
+        outside = [n for n, _ in levels if not args.n_min <= n <= args.n_max]
+        if outside:
+            raise UsageError(f"{args.input} holds orders {outside} outside --n-min..--n-max"
+                             f" ({args.n_min}..{args.n_max})")
     rows, records = census_mod.census_records(args.n_min, args.n_max, args.workers, levels=levels)
     print(f"{'n':>4} {'total':>9} " + " ".join(f"gc={v:<5}" for v in census_mod.GAMMA_C_COLUMNS)
           + "  seconds")
@@ -140,6 +182,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_range(args)
     _, records = census_mod.census_records(args.n_min, args.n_max, args.workers)
     report = census_mod.verify_corpus(records, cross_solver_max_n=args.cross_max_n)
     for line in report.violations:
@@ -150,13 +193,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    code = compile(args.where, "<where>", "eval")
+    try:
+        code = compile(args.where, "<where>", "eval")
+    except SyntaxError as exc:
+        raise UsageError(f"--where is not an expression: {exc.msg}") from exc
     if any(isinstance(const, CodeType) for const in code.co_consts):
         # names in a nested scope would escape the check below
-        raise SystemExit("no comprehensions or lambdas in --where")
+        raise UsageError("no comprehensions or lambdas in --where")
     for name in code.co_names:
         if name not in ("n", "gamma", "gamma_c", "Delta"):
-            raise SystemExit(f"unknown name {name!r} in --where (use n, gamma, gamma_c, Delta)")
+            raise UsageError(f"unknown name {name!r} in --where (use n, gamma, gamma_c, Delta)")
+    _check_range(args)
     _, records = census_mod.census_records(args.n_min, args.n_max, args.workers)
 
     def predicate(rec) -> bool:
@@ -218,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="re-verify structural properties over the census")
     _add_census_range(v)
     v.add_argument("--cross-max-n", type=int, default=10,
-                   help="cross-check both solvers up to this order")
+                   help="cross-check stored values with the contraction solver up to this order")
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("extremal", help="filter census graphs by a predicate")
@@ -230,8 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

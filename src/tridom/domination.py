@@ -1,13 +1,15 @@
 """Exact domination and connected domination solvers, with certificates.
 
-Two independent routes to the connected domination number are provided and
-cross-validated against each other:
+Two independent routes to the connected domination number are provided:
 
-* ``exact_gamma_c``  - iterative deepening over connected vertex sets, with
-  admissible pruning (coverage potential and distance reachability);
-* ``gamma_c_by_contraction`` - iterative deepening over connected acyclic
-  edge sets, contracting each candidate set edge by edge and testing whether
-  the merged vertex is universal in the resulting minor.
+* ``exact_gamma_c``  - the production route, used by ``classify``:
+  iterative deepening over connected vertex sets, with admissible pruning
+  (coverage potential and distance reachability);
+* ``gamma_c_by_contraction`` - the verifier, used to cross-check stored
+  values (``census.verify_corpus``): iterative deepening over connected
+  acyclic edge sets, contracting each candidate set edge by edge and testing
+  whether the merged vertex is universal in the resulting minor.  It shares
+  no search code with the production route, and is several times slower.
 
 Correctness of the contraction route: contracting a spanning tree of a
 minimum connected dominating set (k = value-1 edges) merges it into a vertex
@@ -404,8 +406,10 @@ def classify(t: Triangulation) -> DominationCertificate:
     """Connected domination number of a triangulation, shortcuts first.
 
     Max degree n-1 forces value 1 and n-2 forces value 2 (with an explicit
-    two-vertex witness); everything else goes through the contraction
-    solver.  The method field records which path produced the answer.
+    two-vertex witness); everything else goes through subset search
+    (``exact_gamma_c``).  The contraction route is not used here; it stays
+    as the independent verifier.  The method field records which path
+    produced the answer.
     """
     g = underlying_graph(t)
     n = g.n
@@ -417,4 +421,4 @@ def classify(t: Triangulation) -> DominationCertificate:
         common = g.adj[vmax] & g.adj[w]
         u = (common & -common).bit_length() - 1
         return DominationCertificate(2, (1 << vmax) | (1 << u), METHOD_DELTA)
-    return gamma_c_by_contraction(g)
+    return exact_gamma_c(g)

@@ -3,9 +3,19 @@
 Every plane triangulation on n+1 >= 5 vertices arises from one on n vertices
 by inserting a vertex of degree 3 (inside a face), degree 4 (across an edge)
 or degree 5 (over a fan of three consecutive faces at an apex of degree at
-least 5).  Enumeration is level-synchronous: all moves are applied to every
-triangulation of one order and the results deduplicated by canonical code,
-so the next level holds each isomorphism class exactly once.
+least 5).  Enumeration is level-synchronous: children of every triangulation
+of one order are deduplicated by canonical code, so the next level holds
+each isomorphism class exactly once.
+
+Only children whose new vertex has the child's minimum degree are built, the
+first step of McKay's canonical construction path (J. Algorithms 1998; the
+same moves as plantri, Brinkmann & McKay 2007).  This loses no class: every
+triangulation of order >= 5 has a reducible vertex of degree <= 5 (one whose
+deletion inverts a move), and every vertex of degree 3 or 4 is reducible, so
+some reducible vertex has the minimum degree, and reducing it gives a parent
+in the previous level.  Whether a child passes is read off the parent's
+degrees before the child is built: a move changes only the degrees of the
+vertices around its site.
 
 Moves that would break simplicity are skipped silently during enumeration
 but raise when one of the expansion functions is called directly.
@@ -136,18 +146,32 @@ def collapse_deg5(t: Triangulation, v: int, apex: int) -> Triangulation:
 
 
 def successors(t: Triangulation) -> Iterator[Triangulation]:
-    """All children of t under the three moves, invalid sites skipped."""
+    """Children of t whose new vertex has the child's minimum degree.
+
+    A degree-3 child always passes.  A degree-4 child across edge (a, b)
+    raises only its opposite vertices c, d, so it passes iff every degree-3
+    vertex of t is c or d.  A degree-5 child at apex a over x1..x4 lowers a
+    by one and raises x1 and x4 by one, so it passes iff deg(a) >= 6 and
+    every vertex of degree <= 4 is x1 or x4 and has degree 4.
+    """
+    deg = [len(r) for r in t.rot]
     for f in faces(t):
         yield expand_deg3(t, f)
-    for e in t.edges():
-        c, d = opposite_vertices(t, e)
-        if c != d:
-            yield expand_deg4(t, e)
-    for a in range(t.n):
-        ra = t.rot[a]
-        if len(ra) >= 5:
-            for x1 in ra:
-                yield expand_deg5(t, a, x1)
+    deg3 = {v for v in range(t.n) if deg[v] == 3}
+    if len(deg3) <= 2:
+        for e in t.edges():
+            c, d = opposite_vertices(t, e)
+            if c != d and deg3 <= {c, d}:
+                yield expand_deg4(t, e)
+    low = {v for v in range(t.n) if deg[v] <= 4}
+    if len(low) <= 2 and not deg3:
+        for a in range(t.n):
+            ra = t.rot[a]
+            da = deg[a]
+            if da >= 6:
+                for i, x1 in enumerate(ra):
+                    if low <= {x1, ra[(i + 3) % da]}:
+                        yield expand_deg5(t, a, x1)
 
 
 def levels(n_max: int) -> Iterator[Tuple[int, Dict[bytes, Triangulation]]]:

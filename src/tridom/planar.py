@@ -27,7 +27,7 @@ earlier), so only minimum-degree roots are tried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import MAX_VERTICES, Graph, is_connected
 
@@ -388,10 +388,15 @@ def planar_code_write(ts: Iterable[Triangulation], header: bool = True) -> bytes
 
 
 def planar_code_read(data: bytes) -> List[Triangulation]:
+    return list(planar_code_iter(data))
+
+
+def planar_code_iter(data: bytes) -> Iterator[Triangulation]:
+    """Records one at a time; a malformed record raises after the good ones
+    before it have been yielded (the stream cannot be resynchronised)."""
     buf = bytes(data)
     if buf.startswith(PLANAR_CODE_HEADER):
         buf = buf[len(PLANAR_CODE_HEADER):]
-    out: List[Triangulation] = []
     pos = 0
     end = len(buf)
     while pos < end:
@@ -415,5 +420,4 @@ def planar_code_read(data: bytes) -> List[Triangulation]:
                     raise ValueError(f"neighbor index {b} out of range for order {n}")
                 nbrs.append(b - 1)
             rot.append(tuple(nbrs))
-        out.append(Triangulation(n, rot))
-    return out
+        yield Triangulation(n, rot)

@@ -16,8 +16,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from tridom.census import REFERENCE_CENSUS
 from tridom.graphs import Graph, induces_connected, is_dominating, vset
-from tridom.planar import Triangulation, canonical_code, verify_triangulation
-from tridom.generate import K4, successors
+from tridom.planar import Triangulation, canonical_code, faces, verify_triangulation
+from tridom.generate import K4, expand_deg3, expand_deg4, expand_deg5, opposite_vertices
 
 
 def brute_gamma(g: Graph) -> int:
@@ -59,11 +59,32 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
             return g
 
 
+def all_children(t: Triangulation) -> List[Triangulation]:
+    """Every child of t under the three moves, with no minimum-degree filter:
+    each face, then each edge with distinct opposite vertices, then each fan
+    at an apex of degree >= 5."""
+    kids = [expand_deg3(t, f) for f in faces(t)]
+    kids += [expand_deg4(t, e) for e in t.edges() if len(set(opposite_vertices(t, e))) == 2]
+    kids += [expand_deg5(t, a, x1) for a in range(t.n) if len(t.rot[a]) >= 5 for x1 in t.rot[a]]
+    return kids
+
+
+def all_moves_levels(n_max: int) -> Dict[int, Set[bytes]]:
+    """Canonical codes per order from K4 up to n_max, expanding every child."""
+    out = {4: {canonical_code(K4)}}
+    parents = [K4]
+    for n in range(5, n_max + 1):
+        kids = {canonical_code(c): c for t in parents for c in all_children(t)}
+        out[n] = set(kids)
+        parents = list(kids.values())
+    return out
+
+
 def random_triangulation(rng: random.Random, n: int) -> Triangulation:
     """Random expansion walk from K4 up to order n."""
     t = K4
     while t.n < n:
-        kids = list(successors(t))
+        kids = all_children(t)
         t = kids[rng.randrange(len(kids))]
     return t
 

@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 
@@ -20,7 +21,7 @@ from tridom.census import (
 )
 from tridom.domination import exact_gamma_c
 from tridom.generate import levels, successors, triangulations
-from tridom.graphs import induces_connected, is_dominating
+from tridom.graphs import bits, induces_connected, is_dominating
 from tridom.planar import mirror, planar_code_write, relabel
 
 
@@ -90,11 +91,35 @@ def test_verify_corpus_clean(census_default):
 def test_verify_corpus_catches_corruption(census_default):
     _, records = census_default
     rec = next(r for r in records if r.n == 9 and r.gamma_c == 3)
-    import copy
     bad = copy.copy(rec)
     bad.gamma_c = 2  # lie about the value
     report = verify_corpus([bad])
     assert not report.ok
+
+
+def test_verify_corpus_cross_check_catches_value_one_too_high(census_default):
+    """A record claiming gamma_c + 1 with a valid connected dominating set of
+    that size passes every structural check; only the cross-check sees it."""
+    _, records = census_default
+
+    def passes_bounds(r, value):
+        return (value <= r.n - r.Delta
+                and (not 9 <= r.n <= 13 or value <= r.n // 3)
+                and (r.Delta != r.n - 4 or value in (2, 3)))
+
+    rec = next(r for r in records if r.n <= 10 and passes_bounds(r, r.gamma_c + 1))
+    g = rec.graph()
+    outside = g.full & ~rec.gamma_c_witness
+    extra = min(v for v in bits(outside) if g.adj[v] & rec.gamma_c_witness)
+    witness = rec.gamma_c_witness | 1 << extra
+    assert is_dominating(g, witness) and induces_connected(g, witness)
+    bad = copy.copy(rec)
+    bad.gamma_c = rec.gamma_c + 1
+    bad.gamma_c_witness = witness
+    assert verify_corpus([bad], cross_solver_max_n=0).ok
+    report = verify_corpus([bad])
+    assert len(report.violations) == 1
+    assert "contraction solver disagrees" in report.violations[0]
 
 
 def test_find_extremal_unique_gap_graph_up_to_9(census_default):

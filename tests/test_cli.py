@@ -5,7 +5,7 @@ import pytest
 from tridom.cli import main
 from tridom.graphs import graph6_read
 from tridom.planar import Triangulation, planar_code_read, planar_code_write
-from tridom.families import octahedron
+from tridom.families import icosahedron, octahedron
 from tridom.generate import triangulations
 
 
@@ -61,6 +61,26 @@ def test_solve_reports_errors_per_graph(tmp_path, capsys):
     assert "disconnected" in json.loads(lines[1])["error"]
 
 
+def test_solve_answers_each_graph6_line_before_a_bad_one(tmp_path, capsys):
+    inp = tmp_path / "k4_then_garbage.g6"
+    inp.write_text("C~\n!!\nBw\n")  # '!' is below the graph6 alphabet
+    assert main(["solve", "--format", "graph6", "--input", str(inp)]) == 1
+    first, bad, third = map(json.loads, capsys.readouterr().out.strip().splitlines())
+    assert first == {"index": 0, "n": 4, "gamma_c": 1, "witness": [0],
+                     "method": "subset-search"}
+    assert bad["index"] == 1 and "malformed graph6" in bad["error"]
+    assert third["index"] == 2 and third["gamma_c"] == 1
+
+
+def test_solve_answers_planar_code_records_before_a_truncated_one(tmp_path, capsys):
+    inp = tmp_path / "octahedron_then_truncated.plc"
+    inp.write_bytes(planar_code_write([octahedron(), octahedron()])[:-3])
+    assert main(["solve", "--input", str(inp)]) == 1
+    first, bad = map(json.loads, capsys.readouterr().out.strip().splitlines())
+    assert first["index"] == 0 and first["gamma_c"] == 2
+    assert bad == {"index": 1, "error": "truncated planar_code stream"}
+
+
 def test_solve_rejects_non_triangulation_and_answers_the_rest(tmp_path, capsys):
     inp = tmp_path / "bad_then_octahedron.plc"
     bad = Triangulation(4, ((1, 2, 3), (0, 2), (0, 1, 3), (0, 1, 2)))  # vertex 1 lacks 3
@@ -106,6 +126,43 @@ def test_census_ingests_planar_code(tmp_path, capsys):
     assert "reference check: ok" in capsys.readouterr().out
 
 
+def test_census_input_outside_range_is_an_error(tmp_path, capsys):
+    corpus = tmp_path / "icosahedron.plc"
+    corpus.write_bytes(planar_code_write([icosahedron()]))
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--input", str(corpus)])  # default range 5..11
+    assert exc.value.code == 2
+    assert "orders [12] outside" in capsys.readouterr().err
+    assert main(["census", "--input", str(corpus), "--n-min", "12", "--n-max", "12"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:7] == ["12", "1", "0", "0", "0", "1", "0"]  # gamma_c = 4
+
+
+def test_census_input_not_a_triangulation_is_an_error(tmp_path, capsys):
+    corpus = tmp_path / "square.plc"
+    corpus.write_bytes(planar_code_write([Triangulation(4, ((1, 3), (0, 2), (1, 3), (0, 2)))]))
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--input", str(corpus), "--n-min", "4"])
+    assert exc.value.code == 2
+    assert "not a triangulation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["census", "--n-max", "15"], "--n-max must be in 4..14"),
+    (["census", "--n-min", "9", "--n-max", "8"], "--n-min 9 exceeds --n-max 8"),
+    (["verify", "--n-max", "15"], "--n-max must be in 4..14"),
+    (["extremal", "--where", "n >"], "--where is not an expression"),
+    (["census", "--input", "no/such/file.plc"], "cannot read no/such/file.plc"),
+    (["solve", "--input", "no/such/file.plc"], "cannot read no/such/file.plc"),
+])
+def test_bad_arguments_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_family_chain_values(tmp_path, capsys):
     out = tmp_path / "chain2.plc"
     assert main(["family", "--which", "chain", "--k", "2",
@@ -140,5 +197,6 @@ def test_extremal_where(capsys):
 
 def test_extremal_rejects_unknown_names():
     for where in ("__import__('os')", "[x.bit_length() for x in [n]][0] > 0"):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["extremal", "--n-max", "6", "--where", where])
+        assert exc.value.code == 2

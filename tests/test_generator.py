@@ -19,7 +19,8 @@ from tridom.planar import (
 )
 from tridom.families import icosahedron, octahedron
 
-from helpers import assemble_triangulations, cone_triangulations
+from helpers import (all_children, all_moves_levels, assemble_triangulations,
+                     cone_triangulations)
 
 KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}
 
@@ -110,6 +111,31 @@ def test_successors_emit_valid_children(levels_to_9):
     for t in levels_to_9[7]:
         for child in successors(t):
             assert verify_triangulation(child).ok
+
+
+def test_successors_new_vertex_has_minimum_degree(levels_to_9):
+    for n in (4, 5, 6, 7, 8):
+        for t in levels_to_9[n]:
+            for child in successors(t):
+                degrees = [len(r) for r in child.rot]
+                assert degrees[n] == min(degrees)
+
+
+def test_successors_are_the_minimum_degree_children(levels_to_9):
+    """The filter decides from the parent's degrees; it must keep exactly the
+    children that pass when checked after building them."""
+    for t in levels_to_9[8]:
+        kept = [child.rot for child in successors(t)]
+        wanted = [child.rot for child in all_children(t)
+                  if len(child.rot[-1]) == min(map(len, child.rot))]
+        assert kept == wanted
+
+
+def test_filtered_levels_match_all_moves_levels():
+    """Dropping children whose new vertex is not of minimum degree loses no class."""
+    everything = all_moves_levels(10)
+    for n, level in levels(10):
+        assert set(level) == everything[n], f"order {n}"
 
 
 def test_opposite_vertices():

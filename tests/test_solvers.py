@@ -297,7 +297,8 @@ def test_spanning_tree_of_minimum_cds_contracts_to_universal():
 
 
 def test_classify_shortcuts_and_agreement(levels_to_9):
-    for t in levels_to_9[7]:
+    searched = 0
+    for t in levels_to_9[7] + levels_to_9[8]:
         g = underlying_graph(t)
         cert = classify(t)
         _, dmax, _ = degree_stats(g)
@@ -306,10 +307,12 @@ def test_classify_shortcuts_and_agreement(levels_to_9):
         elif dmax == g.n - 2:
             assert cert.value == 2 and cert.method == METHOD_DELTA
         else:
-            assert cert.method == METHOD_CONTRACTION
-        assert cert.value == exact_gamma_c(g).value
+            assert cert.method == METHOD_SUBSET
+            searched += 1
+        assert cert.value == gamma_c_by_contraction(g).value
         assert is_dominating(g, cert.witness)
         assert induces_connected(g, cert.witness)
+    assert searched  # order 7 has only shortcut classes; order 8 does not
 
 
 def test_classify_octahedron_uses_shortcut():
@@ -323,7 +326,7 @@ def test_classify_unique_order9_value3(levels_to_9):
     assert values.count(3) == 1
     t9 = levels_to_9[9][values.index(3)]
     cert = classify(t9)
-    assert cert.method == METHOD_CONTRACTION
+    assert cert.method == METHOD_SUBSET
     # found via two contractions: a connected pair of edges works, one does not
     g = underlying_graph(t9)
     assert contraction_search(g, 1) is None
