@@ -4,7 +4,8 @@ Two independent routes to the connected domination number are provided:
 
 * ``exact_gamma_c``  - the production route, used by ``classify``:
   iterative deepening over connected vertex sets, with admissible pruning
-  (coverage potential and distance reachability);
+  (coverage potential, distance reachability and a 2-packing of the
+  vertices left undominated);
 * ``gamma_c_by_contraction`` - the verifier, used to cross-check stored
   values (``census.verify_corpus``): iterative deepening over connected
   acyclic edge sets, contracting each candidate set edge by edge and testing
@@ -21,11 +22,17 @@ n-k vertices, where no vertex of degree n-k-1 is universal.
 
 Pruning soundness in ``exact_gamma_c``: with s = |S| and m = k - s vertices
 still to add, any superset grown from S covers at most |N[S]| + m*(Delta+1)
-vertices, and every vertex it covers lies within distance m+1 of S.  Both
-tests therefore never cut a feasible branch.  The deepening may start at
-max(packing bound, diameter-1): disjoint closed neighborhoods need distinct
-dominators, and the internal path of a connected dominating set spans the
-graph within one step of every vertex.
+vertices, and every vertex it covers lies within distance m+1 of S.  And
+undominated vertices with pairwise disjoint closed neighborhoods (pairwise
+at distance >= 3) need one distinct dominator each, none of them in S, so a
+greedy 2-packing of V - N[S] larger than m cuts the branch.  No test ever
+cuts a feasible branch, so the first dominating set the enumeration meets,
+and every minimum one it collects, are the same with or without them.
+The deepening may start at max(packing bound, diameter-1): disjoint closed
+neighborhoods need distinct dominators, and the internal path of a
+connected dominating set spans the graph within one step of every vertex.
+The per-graph tables (closed neighborhoods, distance balls, Delta) are built
+once and shared by every deepening level.
 """
 
 from __future__ import annotations
@@ -195,6 +202,7 @@ def _gamma_c_search(g: Graph, k: int, adjn: List[int], balls: List[List[int]],
     """Connected dominating sets of size <= k; first hit only unless collect_all."""
     full = g.full
     n = g.n
+    ball2 = balls[min(2, rmax)]
     found: List[int] = []
 
     def visitor(s: int) -> Optional[str]:
@@ -223,14 +231,19 @@ def _gamma_c_search(g: Graph, k: int, adjn: List[int], balls: List[List[int]],
             return PRUNE
         if ball != full:
             return PRUNE
+        if _packing_bound(full & ~cover, ball2) > m:
+            return PRUNE
         return None
 
     enumerate_connected_sets(g, k, visitor)
     return found
 
 
-def exact_gamma_c(g: Graph) -> DominationCertificate:
-    """Minimum connected dominating set by deepening subset search."""
+def _minimum_cds(g: Graph, collect_all: bool) -> List[int]:
+    """Deepen from the lower bound to the first size with a connected dominating set.
+
+    Returns the first such set found, or with collect_all every one of that size.
+    """
     _require_connected(g)
     if g.n < 2:
         raise ValueError("connected domination needs at least two vertices")
@@ -238,23 +251,23 @@ def exact_gamma_c(g: Graph) -> DominationCertificate:
     _, dmax, _ = degree_stats(g)
     balls, rmax = _distance_balls(g, adjn)
     ecc_max = rmax  # the last radius added is the diameter
-    k0 = max(1, _packing_bound(g.full, _ball2(adjn)), ecc_max - 1)
+    k0 = max(1, _packing_bound(g.full, balls[min(2, rmax)]), ecc_max - 1)
     for k in range(k0, g.n + 1):
-        hits = _gamma_c_search(g, k, adjn, balls, rmax, dmax, collect_all=False)
+        hits = _gamma_c_search(g, k, adjn, balls, rmax, dmax, collect_all)
         if hits:
-            s = hits[0]
-            return DominationCertificate(s.bit_count(), s, METHOD_SUBSET)
+            return hits
     raise AssertionError("connected graph always has a connected dominating set")
+
+
+def exact_gamma_c(g: Graph) -> DominationCertificate:
+    """Minimum connected dominating set by deepening subset search."""
+    s = _minimum_cds(g, collect_all=False)[0]
+    return DominationCertificate(s.bit_count(), s, METHOD_SUBSET)
 
 
 def all_minimum_cds(g: Graph) -> List[int]:
     """Every minimum connected dominating set, sorted by vertex tuple."""
-    value = exact_gamma_c(g).value
-    adjn = _closed(g)
-    _, dmax, _ = degree_stats(g)
-    balls, rmax = _distance_balls(g, adjn)
-    hits = _gamma_c_search(g, value, adjn, balls, rmax, dmax, collect_all=True)
-    return sorted(hits, key=lambda m: tuple(bits(m)))
+    return sorted(_minimum_cds(g, collect_all=True), key=lambda m: tuple(bits(m)))
 
 
 def bfs_tree_cds(g: Graph) -> DominationCertificate:

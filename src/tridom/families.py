@@ -10,8 +10,11 @@ known base graphs on nine vertices.
 
 The icosahedron chain glues k icosahedra along outer-face edges so that all
 copies share one vertex, then triangulates the outer hole with a fan of
-chords; its domination number grows like k while the connected domination
-number grows like 3k, so their difference is unbounded.
+chords.  Its domination number is k + 1 for k = 2, 3, 4 (the shared vertex
+and one interior vertex per copy); exact search gives connected domination
+numbers 6, 9, 11 and gaps gamma_c - gamma of 3, 5, 6 for k = 2, 3, 4.  No
+larger k has been solved, so whether the gap grows without bound for this
+construction, and whether it is the paper's chain, is not settled here.
 """
 
 from __future__ import annotations
@@ -98,8 +101,9 @@ def octahedron_sum_report(t: Triangulation, f: Face) -> SumReport:
         raise ValueError(f"{f} is not a face")
     g = underlying_graph(t)
     fmask = (1 << f[0]) | (1 << f[1]) | (1 << f[2])
-    hits = max((s & fmask).bit_count() for s in all_minimum_cds(g))
-    base = exact_gamma_c(g).value
+    minima = all_minimum_cds(g)
+    hits = max((s & fmask).bit_count() for s in minima)
+    base = minima[0].bit_count()
     summed = exact_gamma_c(underlying_graph(octahedron_sum(t, f))).value
     predicted = {0: 2, 1: 1}.get(hits)
     observed = summed - base

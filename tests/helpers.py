@@ -4,7 +4,10 @@ Everything here deliberately avoids the package's production algorithms:
 triangulations are re-enumerated by gluing directed triangles into closed
 surfaces, domination numbers are recomputed by raw subset enumeration, and
 connected sets by powerset filtering.  Agreement between these oracles and
-the fast paths is what the tests assert.
+the fast paths is what the tests assert.  ``reference_minimum_cds`` is
+different: it keeps the connected-domination search with only its coverage
+and distance prunes, to pin the exact certificates the production search
+emits as further prunes are added.
 """
 
 from __future__ import annotations
@@ -15,7 +18,16 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from tridom.census import REFERENCE_CENSUS
-from tridom.graphs import Graph, induces_connected, is_dominating, vset
+from tridom.graphs import (
+    PRUNE,
+    STOP,
+    Graph,
+    bits,
+    enumerate_connected_sets,
+    induces_connected,
+    is_dominating,
+    vset,
+)
 from tridom.planar import Triangulation, canonical_code, faces, verify_triangulation
 from tridom.generate import K4, expand_deg3, expand_deg4, expand_deg5, opposite_vertices
 
@@ -49,6 +61,61 @@ def powerset_connected_sets(g: Graph, max_size: int) -> Set[int]:
             if induces_connected(g, s):
                 out.add(s)
     return out
+
+
+def reference_minimum_cds(g: Graph, collect_all: bool = False) -> List[int]:
+    """The connected-domination subset search with only its coverage and
+    distance prunes, deepening from size 1.
+
+    Returns the first connected dominating set met at the least size that
+    has one, or with collect_all every one of that size, sorted by vertex
+    tuple.  Its tables (closed neighborhoods, distance balls from a BFS per
+    vertex, maximum degree) are built here, not by the package.
+    """
+    n, full = g.n, g.full
+    adjn = [g.adj[v] | 1 << v for v in range(n)]
+    dmax = max(m.bit_count() for m in g.adj)
+    dist = []
+    for v in range(n):
+        d = {v: 0}
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in bits(g.adj[x]):
+                    if y not in d:
+                        d[y] = d[x] + 1
+                        nxt.append(y)
+            frontier = nxt
+        dist.append(d)
+    balls = [[vset(u for u, du in dist[v].items() if du <= r) for v in range(n)]
+             for r in range(n + 1)]
+
+    for k in range(1, n + 1):
+        found: List[int] = []
+
+        def visitor(s: int) -> Optional[str]:
+            size = s.bit_count()
+            m = k - size
+            cover = ball = 0
+            for v in bits(s):
+                cover |= adjn[v]
+                ball |= balls[min(m + 1, n)][v]
+            if cover == full:
+                if not collect_all:
+                    found.append(s)
+                    return STOP
+                if size == k:
+                    found.append(s)
+                return None
+            if m == 0 or cover.bit_count() + m * (dmax + 1) < n or ball != full:
+                return PRUNE
+            return None
+
+        enumerate_connected_sets(g, k, visitor)
+        if found:
+            return sorted(found, key=lambda m: tuple(bits(m)))
+    raise AssertionError("no connected dominating set found")
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:

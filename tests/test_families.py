@@ -14,7 +14,7 @@ from tridom.families import (
     octahedron_sum_report,
 )
 from tridom.generate import K4
-from tridom.graphs import vset
+from tridom.graphs import induces_connected, is_dominating, vset
 from tridom.planar import (
     canonical_code,
     faces,
@@ -195,6 +195,17 @@ def test_icosa_chain_2_values():
     g = underlying_graph(icosa_chain(2))
     assert exact_gamma(g).value == 3
     assert exact_gamma_c(g).value == 6
+
+
+def test_icosa_chain_4_values():
+    """At k = 4 the gap is 6, not the 2k - 1 = 7 of k = 2, 3."""
+    g = underlying_graph(icosa_chain(4))
+    assert exact_gamma(g).value == 5
+    cert = exact_gamma_c(g)
+    assert cert.value == 11
+    assert cert.witness.bit_count() == 11
+    assert is_dominating(g, cert.witness)
+    assert induces_connected(g, cert.witness)
 
 
 def test_icosa_chain_dominating_witness_structure():

@@ -3,11 +3,13 @@ from itertools import combinations
 
 import pytest
 
+from tridom import domination
 from tridom.domination import (
     METHOD_BFS_TREE,
     METHOD_CONTRACTION,
     METHOD_DELTA,
     METHOD_SUBSET,
+    DominationCertificate,
     all_minimum_cds,
     bfs_tree_cds,
     classify,
@@ -33,6 +35,7 @@ from helpers import (
     brute_gamma_c,
     brute_minimum_dominating_sets,
     random_connected_graph,
+    reference_minimum_cds,
 )
 
 
@@ -331,3 +334,30 @@ def test_classify_unique_order9_value3(levels_to_9):
     g = underlying_graph(t9)
     assert contraction_search(g, 1) is None
     assert contraction_search(g, 2) is not None
+
+
+def test_exact_gamma_c_certificates_match_reference_search(levels_to_11):
+    """The pruned search returns the very witness the search with only its
+    coverage and distance prunes returns, and all_minimum_cds the same list."""
+    graphs = [underlying_graph(t) for n in range(5, 11) for t in levels_to_11[n]]
+    rng = random.Random(37)
+    graphs += [random_connected_graph(rng, rng.randint(2, 12), 0.3) for _ in range(30)]
+    for g in graphs:
+        want = reference_minimum_cds(g)[0]
+        assert exact_gamma_c(g) == DominationCertificate(want.bit_count(), want, METHOD_SUBSET)
+    for t in levels_to_11[8]:
+        g = underlying_graph(t)
+        assert all_minimum_cds(g) == reference_minimum_cds(g, collect_all=True)
+
+
+def test_packing_prune_cuts_the_chain_search(monkeypatch):
+    visited = []
+
+    def counted(g, max_size, visitor, _enum=domination.enumerate_connected_sets):
+        visited.append(_enum(g, max_size, visitor))
+        return visited[-1]
+
+    monkeypatch.setattr(domination, "enumerate_connected_sets", counted)
+    cert = exact_gamma_c(underlying_graph(icosa_chain(3)))
+    assert cert.value == 9
+    assert sum(visited) <= 180_000  # 690,366 without the packing prune
