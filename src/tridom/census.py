@@ -87,9 +87,6 @@ class CensusRecord:
     def graph(self) -> Graph:
         return underlying_graph(Triangulation(self.n, self.rot))
 
-    def triangulation(self) -> Triangulation:
-        return Triangulation(self.n, self.rot)
-
     @property
     def gamma_certificate(self) -> DominationCertificate:
         if self._gamma_cert is None:

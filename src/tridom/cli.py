@@ -8,6 +8,7 @@ found, so shell pipelines can gate on them.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import sys
 from types import CodeType
@@ -16,7 +17,7 @@ from typing import Iterator, List, Optional, Union
 from . import census as census_mod
 from . import generate as generate_mod
 from .domination import classify, exact_gamma, exact_gamma_c
-from .families import FamilySpec
+from .families import FamilySpec, expected_family_value
 from .graphs import Graph, bits, graph6_read, graph6_write
 from .planar import (
     Triangulation,
@@ -171,13 +172,22 @@ def _cmd_census(args) -> int:
 
 def _cmd_family(args) -> int:
     spec = FamilySpec(args.which, args.k)
-    t = spec.build(verify_cap=args.verify_cap)
-    _emit_triangulations([t], args.format, args.out)
+    t = spec.build()
+    try:
+        _emit_triangulations([t], args.format, args.out)
+    except ValueError as exc:
+        raise UsageError(f"--format {args.format}: {exc}") from exc
     if args.values:
         g = underlying_graph(t)
         info = {"kind": spec.kind, "k": spec.k, "n": t.n,
                 "gamma_c": exact_gamma_c(g).value, "gamma": exact_gamma(g).value}
         print(json.dumps(info))
+        if spec.kind != "chain":
+            want = expected_family_value(spec.kind, spec.k)
+            if info["gamma_c"] != want:
+                print(f"family {spec.kind} at k={spec.k} has connected domination number"
+                      f" {info['gamma_c']}, expected {want}", file=sys.stderr)
+                return 1
     return 0
 
 
@@ -192,17 +202,35 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_extremal(args) -> int:
+_WHERE_NAMES = ("n", "gamma", "gamma_c", "Delta")
+_WHERE_NODES = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.UnaryOp, ast.USub,
+                ast.Not, ast.BoolOp, ast.And, ast.Or, ast.Compare, ast.Eq, ast.NotEq, ast.Lt,
+                ast.LtE, ast.Gt, ast.GtE, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.FloorDiv,
+                ast.Mod)
+
+
+def _where_code(text: str) -> CodeType:
+    """Compile a --where expression once every node of it passes the whitelist."""
     try:
-        code = compile(args.where, "<where>", "eval")
+        tree = ast.parse(text, "<where>", mode="eval")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id not in _WHERE_NAMES:
+                raise UsageError(f"unknown name {node.id!r} in --where"
+                                 f" (use {', '.join(_WHERE_NAMES)})")
+            if not isinstance(node, _WHERE_NODES) or (
+                    isinstance(node, ast.Constant) and not isinstance(node.value, int)):
+                raise UsageError("--where allows only the four names, int constants,"
+                                 " comparisons, and/or/not, unary minus and + - * // %;"
+                                 f" got {type(node).__name__}")
+        return compile(tree, "<where>", "eval")
     except SyntaxError as exc:
         raise UsageError(f"--where is not an expression: {exc.msg}") from exc
-    if any(isinstance(const, CodeType) for const in code.co_consts):
-        # names in a nested scope would escape the check below
-        raise UsageError("no comprehensions or lambdas in --where")
-    for name in code.co_names:
-        if name not in ("n", "gamma", "gamma_c", "Delta"):
-            raise UsageError(f"unknown name {name!r} in --where (use n, gamma, gamma_c, Delta)")
+    except (RecursionError, MemoryError) as exc:
+        raise UsageError("--where is nested too deeply") from exc
+
+
+def _cmd_extremal(args) -> int:
+    code = _where_code(args.where)  # no nested scopes, so co_names holds every name
     _check_range(args)
     _, records = census_mod.census_records(args.n_min, args.n_max, args.workers)
 
@@ -210,7 +238,10 @@ def _cmd_extremal(args) -> int:
         env = {"n": rec.n, "gamma_c": rec.gamma_c, "Delta": rec.Delta}
         if "gamma" in code.co_names:
             env["gamma"] = rec.gamma
-        return bool(eval(code, {"__builtins__": {}}, env))
+        try:
+            return bool(eval(code, {"__builtins__": {}}, env))
+        except ArithmeticError as exc:
+            raise UsageError(f"--where fails at n={rec.n}: {exc}") from exc
 
     hits = census_mod.find_extremal(records, predicate)
     for rec in hits:
@@ -255,11 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("family", help="build an extremal family member")
     f.add_argument("--which", choices=["A", "B", "chain"], required=True)
     f.add_argument("--k", type=int, required=True)
-    f.add_argument("--verify-cap", type=int, default=24,
-                   help="verify exact values while order <= cap")
     f.add_argument("--format", choices=["planar_code", "graph6", "json"], default="planar_code")
     f.add_argument("--out", default=None)
-    f.add_argument("--values", action="store_true", help="print exact domination values")
+    f.add_argument("--values", action="store_true",
+                   help="print exact domination values; exit 1 if A or B breaks its law")
     f.set_defaults(func=_cmd_family)
 
     v = sub.add_parser("verify", help="re-verify structural properties over the census")

@@ -92,19 +92,6 @@ def _closed(g: Graph) -> List[int]:
     return [g.adj[v] | (1 << v) for v in range(g.n)]
 
 
-def _ball2(adjn: List[int]) -> List[int]:
-    out = []
-    for m in adjn:
-        b = 0
-        x = m
-        while x:
-            lo = x & -x
-            b |= adjn[lo.bit_length() - 1]
-            x ^= lo
-        out.append(b)
-    return out
-
-
 def _packing_bound(uncovered: int, ball2: List[int]) -> int:
     """Greedy count of pairwise-disjoint closed neighborhoods in uncovered."""
     cnt = 0
@@ -123,7 +110,8 @@ def exact_gamma(g: Graph) -> DominationCertificate:
     if n == 1:
         return DominationCertificate(1, 1, METHOD_SUBSET)
     adjn = _closed(g)
-    ball2 = _ball2(adjn)
+    balls, rmax = _distance_balls(g, adjn)
+    ball2 = balls[min(2, rmax)]
     covcnt = [m.bit_count() for m in adjn]
 
     def feasible(covered: int, used: int, target: int) -> bool:

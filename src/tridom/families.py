@@ -6,7 +6,10 @@ with edges ae, af, bf, bg, ce, cg.  Iterating it on the freshly added
 triangle produces order-3k triangulations whose connected domination number
 grows by one or two per step depending on how the chosen face meets the
 minimum connected dominating sets; families A and B below follow the two
-known base graphs on nine vertices.
+known base graphs on nine vertices.  Members are built, not solved: the law
+gamma_c = k = n/3 for k >= 5 (``expected_family_value``) is pinned by the
+tests for k = 3..10 and checked by ``tridom family --values``, which solves
+the member once.
 
 The icosahedron chain glues k icosahedra along outer-face edges so that all
 copies share one vertex, then triangulates the outer hole with a fan of
@@ -134,10 +137,9 @@ def family_base(which: str) -> Tuple[Triangulation, Face]:
                 return t, f
         raise RuntimeError("no face of the base keeps the value at 3 after one sum")
     for t in level9:
-        g = underlying_graph(t)
-        if exact_gamma_c(g).value != 2:
+        minima = all_minimum_cds(underlying_graph(t))
+        if minima[0].bit_count() != 2:
             continue
-        minima = all_minimum_cds(g)
         for f in faces(t):
             fmask = (1 << f[0]) | (1 << f[1]) | (1 << f[2])
             if all((s & fmask) == 0 for s in minima):
@@ -154,36 +156,20 @@ def expected_family_value(which: str, k: int) -> int:
     raise ValueError("family must be 'A' or 'B'")
 
 
-def family(which: str, k: int, verify_cap: int = 24) -> Triangulation:
+def family(which: str, k: int) -> Triangulation:
     """Member k (order 3k) of family A or B by iterated octahedron sums.
 
     Starting from the nine-vertex base, k-3 sums are applied, each on the
-    most recently added triangle.  While the order stays within verify_cap
-    the exact solver checks the value after every step; a mismatch raises,
-    since it would contradict the construction's invariant.
+    most recently added triangle.  The member is built, not solved: its
+    value, ``expected_family_value(which, k)``, is pinned by the tests and
+    checked by ``tridom family --values``.
     """
     if k < 3:
         raise ValueError("family members need k >= 3 (order 3k >= 9)")
-    t, face = family_base(which)
-    if t.n <= verify_cap:
-        _check_family_value(which, 3, t)
-    site = face
-    for j in range(4, k + 1):
-        prev = t
-        t = octahedron_sum(t, site)
-        site = new_triangle(prev)
-        if t.n <= verify_cap:
-            _check_family_value(which, j, t)
+    t, site = family_base(which)
+    for _ in range(k - 3):
+        t, site = octahedron_sum(t, site), new_triangle(t)
     return t
-
-
-def _check_family_value(which: str, k: int, t: Triangulation) -> None:
-    got = exact_gamma_c(underlying_graph(t)).value
-    want = expected_family_value(which, k)
-    if got != want:
-        raise RuntimeError(
-            f"family {which} at k={k} has connected domination number {got}, expected {want}"
-        )
 
 
 @dataclass(frozen=True)
@@ -202,10 +188,10 @@ class FamilySpec:
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
 
-    def build(self, verify_cap: int = 24) -> Triangulation:
+    def build(self) -> Triangulation:
         if self.kind == "chain":
             return icosa_chain(self.k)
-        return family(self.kind, self.k, verify_cap)
+        return family(self.kind, self.k)
 
 
 def _linear_from(seq: Tuple[int, ...], start: int) -> Tuple[int, ...]:

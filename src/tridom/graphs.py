@@ -108,9 +108,6 @@ class Graph:
                 m ^= b
         return out
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def check(self) -> "Graph":
         """Validate simplicity invariants; returns self so calls chain."""
         if not 1 <= self.n <= MAX_VERTICES:

@@ -250,7 +250,7 @@ def test_criterion_7_family_values():
     problems = []
     for which, expected in (("A", expected_a), ("B", expected_b)):
         for k, want in expected.items():
-            t = td.family(which, k, verify_cap=0)  # no internal checks, solve here
+            t = td.family(which, k)
             if t.n != 3 * k:
                 problems.append(f"{which},{k}: order {t.n}")
                 continue

@@ -154,6 +154,10 @@ def test_census_input_not_a_triangulation_is_an_error(tmp_path, capsys):
     (["extremal", "--where", "n >"], "--where is not an expression"),
     (["census", "--input", "no/such/file.plc"], "cannot read no/such/file.plc"),
     (["solve", "--input", "no/such/file.plc"], "cannot read no/such/file.plc"),
+    (["extremal", "--n-max", "5", "--where", "9**9**9 > n"], "got Pow"),
+    (["extremal", "--n-max", "5", "--where", "n % 0 == 1"], "--where fails at n=5"),
+    (["extremal", "--n-max", "5", "--where", " + ".join(["n"] * 3000)], "nested too deeply"),
+    (["family", "--which", "chain", "--k", "13"], "planar_code supports orders below 128"),
 ])
 def test_bad_arguments_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

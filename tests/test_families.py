@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from tridom import cli, families
 from tridom.domination import all_minimum_cds, exact_gamma, exact_gamma_c
 from tridom.families import (
     FamilySpec,
@@ -129,14 +132,53 @@ def test_sum_reports_consistent_along_construction_paths():
 
 
 def test_family_values_quick():
-    a4 = family("A", 4)
-    assert a4.n == 12
-    assert exact_gamma_c(underlying_graph(a4)).value == 4
-    b4 = family("B", 4)
-    assert b4.n == 12
-    assert exact_gamma_c(underlying_graph(b4)).value == 3
+    for which in ("A", "B"):
+        for k in range(3, 11):
+            t = family(which, k)
+            assert t.n == 3 * k
+            got = exact_gamma_c(underlying_graph(t)).value
+            assert got == expected_family_value(which, k), (which, k, got)
     with pytest.raises(ValueError):
         family("A", 2)
+
+
+def _count_solves(monkeypatch):
+    """Count exact_gamma_c calls made through the modules that build and print members."""
+    calls = []
+
+    def counted(g, _solve=exact_gamma_c):
+        calls.append(g.n)
+        return _solve(g)
+
+    for module in (families, cli):
+        monkeypatch.setattr(module, "exact_gamma_c", counted)
+    return calls
+
+
+def test_family_build_solves_nothing(monkeypatch):
+    family_base("A")  # cached: every later build starts from it
+    calls = _count_solves(monkeypatch)
+    assert FamilySpec("A", 8).build().n == 24
+    assert calls == []
+
+
+def test_family_values_solves_the_member_once(monkeypatch, tmp_path, capsys):
+    family_base("A")
+    calls = _count_solves(monkeypatch)
+    assert cli.main(["family", "--which", "A", "--k", "8", "--values",
+                     "--out", str(tmp_path / "a8.plc")]) == 0
+    assert calls == [24]
+    info = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (info["n"], info["gamma_c"]) == (24, 8)
+
+
+def test_family_values_reports_a_broken_law(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "expected_family_value", lambda which, k: k + 1)
+    assert cli.main(["family", "--which", "A", "--k", "5", "--values",
+                     "--out", str(tmp_path / "a5.plc")]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out.strip().splitlines()[-1])["gamma_c"] == 5
+    assert "family A at k=5 has connected domination number 5, expected 6" in err
 
 
 def test_family_orders_scale_with_k():
