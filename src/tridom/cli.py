@@ -12,7 +12,7 @@ import ast
 import json
 import sys
 from types import CodeType
-from typing import Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from . import census as census_mod
 from . import generate as generate_mod
@@ -59,22 +59,29 @@ def _write_text(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
-def _emit_triangulations(ts, fmt: str, out: Optional[str]) -> None:
+def _emit_triangulations(level: Dict[bytes, Triangulation], fmt: str,
+                         out: Optional[str]) -> None:
+    """Write the triangulations of a level (canonical code -> triangulation)."""
     if fmt == "planar_code":
-        _write_bytes(out, planar_code_write(ts))
+        _write_bytes(out, planar_code_write(level.values()))
     elif fmt == "graph6":
-        _write_text(out, "".join(graph6_write(underlying_graph(t)) + "\n" for t in ts))
+        _write_text(out, "".join(graph6_write(underlying_graph(t)) + "\n"
+                                 for t in level.values()))
     else:  # json: rotation systems plus codes
-        payload = [{"n": t.n, "rotations": [list(r) for r in t.rot],
-                    "code": canonical_code(t).hex()} for t in ts]
+        payload = [{"n": t.n, "rotations": [list(r) for r in t.rot], "code": code.hex()}
+                   for code, t in level.items()]
         _write_text(out, json.dumps(payload, indent=1) + "\n")
 
 
 def _cmd_generate(args) -> int:
-    ts = generate_mod.triangulations(args.n)
-    _emit_triangulations(ts, args.format, args.out)
+    if not generate_mod.MIN_ORDER <= args.n <= generate_mod.MAX_ORDER:
+        raise UsageError(f"--n must be in {generate_mod.MIN_ORDER}..{generate_mod.MAX_ORDER},"
+                         f" got {args.n}")
+    for _, level in generate_mod.levels(args.n):
+        pass  # the last level yielded is order n
+    _emit_triangulations(level, args.format, args.out)
     if args.out not in (None, "-"):
-        print(f"wrote {len(ts)} triangulations of order {args.n} to {args.out}")
+        print(f"wrote {len(level)} triangulations of order {args.n} to {args.out}")
     return 0
 
 
@@ -171,10 +178,15 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    spec = FamilySpec(args.which, args.k)
+    try:
+        spec = FamilySpec(args.which, args.k)
+    except ValueError as exc:
+        raise UsageError(f"--k {args.k}: {exc}") from exc
     t = spec.build()
     try:
-        _emit_triangulations([t], args.format, args.out)
+        # only json prints the canonical code, and codes stop below order 256
+        code = canonical_code(t) if args.format == "json" else b""
+        _emit_triangulations({code: t}, args.format, args.out)
     except ValueError as exc:
         raise UsageError(f"--format {args.format}: {exc}") from exc
     if args.values:

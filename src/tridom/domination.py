@@ -33,6 +33,17 @@ neighborhoods need distinct dominators, and the internal path of a
 connected dominating set spans the graph within one step of every vertex.
 The per-graph tables (closed neighborhoods, distance balls, Delta) are built
 once and shared by every deepening level.
+
+``exact_gamma`` is one search for the domination number and its witness.
+From the 2-packing bound up, it visits the vertex sets of each size in
+lexicographic order of their sorted vertex tuples, and stops at the first
+size with a hit.  Each prune cuts only subtrees with no dominating
+completion of that size (a 2-packing of the undominated vertices larger
+than the number left to add; a next vertex v above the largest vertex of
+N[u] for some undominated u, since every later choice is above v; too few
+vertices after v), or sets with a vertex that dominates nothing new, which
+cannot be minimum.  So the first hit is the lexicographically least
+minimum dominating set, at the least size that has one.
 """
 
 from __future__ import annotations
@@ -63,9 +74,6 @@ class DominationCertificate:
     value: int
     witness: int  # vertex bitmask
     method: str
-
-    def witness_vertices(self) -> Tuple[int, ...]:
-        return tuple(bits(self.witness))
 
 
 @dataclass(frozen=True)
@@ -103,62 +111,40 @@ def _packing_bound(uncovered: int, ball2: List[int]) -> int:
 
 
 def exact_gamma(g: Graph) -> DominationCertificate:
-    """Minimum dominating set, branch and bound, lexicographically least witness."""
+    """Lexicographically least minimum dominating set, by one deepening search."""
     _require_connected(g)
     n = g.n
     full = g.full
-    if n == 1:
-        return DominationCertificate(1, 1, METHOD_SUBSET)
     adjn = _closed(g)
     balls, rmax = _distance_balls(g, adjn)
     ball2 = balls[min(2, rmax)]
-    covcnt = [m.bit_count() for m in adjn]
-
-    def feasible(covered: int, used: int, target: int) -> bool:
-        if covered == full:
-            return True
-        if used == target:
-            return False
-        uncovered = full & ~covered
-        if used + _packing_bound(uncovered, ball2) > target:
-            return False
-        # branch on an uncovered vertex with the fewest coverers
-        u = -1
-        best = n + 2
-        x = uncovered
-        while x:
-            lo = x & -x
-            v = lo.bit_length() - 1
-            if covcnt[v] < best:
-                best = covcnt[v]
-                u = v
-            x ^= lo
-        for v in bits(adjn[u]):
-            if feasible(covered | adjn[v], used + 1, target):
-                return True
-        return False
-
-    value = _packing_bound(full, ball2)
-    while not feasible(0, 0, value):
-        value += 1
+    # below[v]: the vertices whose closed neighborhood lies wholly before v
+    below = [0] * (n + 1)
+    for u, m in enumerate(adjn):
+        below[m.bit_length()] |= 1 << u
+    for v in range(1, n + 1):
+        below[v] |= below[v - 1]
 
     def lex_witness(start: int, covered: int, left: int) -> Optional[int]:
         if left == 0:
             return 0 if covered == full else None
-        if _packing_bound(full & ~covered, ball2) > left:
+        uncovered = full & ~covered
+        if _packing_bound(uncovered, ball2) > left:
             return None
         for v in range(start, n - left + 1):
-            gain = adjn[v] & ~covered
-            if not gain:
-                continue  # redundant vertex cannot occur in a minimum set
-            rest = lex_witness(v + 1, covered | adjn[v], left - 1)
-            if rest is not None:
-                return rest | (1 << v)
+            if below[v] & uncovered:
+                break  # an uncovered vertex has no dominator left from v on
+            if adjn[v] & uncovered:  # a redundant vertex cannot occur in a minimum set
+                rest = lex_witness(v + 1, covered | adjn[v], left - 1)
+                if rest is not None:
+                    return rest | (1 << v)
         return None
 
-    witness = lex_witness(0, 0, value)
-    assert witness is not None
-    return DominationCertificate(value, witness, METHOD_SUBSET)
+    for value in range(_packing_bound(full, ball2), n + 1):
+        witness = lex_witness(0, 0, value)
+        if witness is not None:
+            return DominationCertificate(value, witness, METHOD_SUBSET)
+    raise AssertionError("a connected graph always has a dominating set")
 
 
 def _distance_balls(g: Graph, adjn: List[int]) -> Tuple[List[List[int]], int]:

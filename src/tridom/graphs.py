@@ -3,8 +3,9 @@
 Everything downstream (domination solvers, contraction search, the census)
 spends its time in set algebra over vertex sets, so a vertex set is a bare
 Python int with bit v standing for vertex v.  Graphs are immutable: an order
-``n`` plus one adjacency mask per vertex.  Orders up to 128 are supported,
-which covers every graph this package ever has to touch.
+``n`` plus one adjacency mask per vertex.  Python ints have no width limit,
+so neither has the order; only graph6 reading and writing cap it, at
+MAX_VERTICES.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]]) -> "Graph":
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"order must be in 1..{MAX_VERTICES}, got {n}")
+        if n < 1:
+            raise ValueError(f"order must be at least 1, got {n}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -110,7 +111,7 @@ class Graph:
 
     def check(self) -> "Graph":
         """Validate simplicity invariants; returns self so calls chain."""
-        if not 1 <= self.n <= MAX_VERTICES:
+        if self.n < 1:
             raise ValueError(f"order {self.n} out of range")
         for v, m in enumerate(self.adj):
             if m >> v & 1:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .graphs import MAX_VERTICES, Graph, is_connected
+from .graphs import Graph, is_connected
 
 Face = Tuple[int, int, int]
 
@@ -144,8 +144,6 @@ def verify_triangulation(t: Triangulation) -> ValidityReport:
     n = t.n
     if n < 4:
         return ValidityReport(False, f"order {n} below 4")
-    if n > MAX_VERTICES:
-        return ValidityReport(False, f"order {n} above {MAX_VERTICES}")
     if len(t.rot) != n:
         return ValidityReport(False, "rotation table size differs from order")
     for v, r in enumerate(t.rot):

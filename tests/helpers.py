@@ -4,10 +4,11 @@ Everything here deliberately avoids the package's production algorithms:
 triangulations are re-enumerated by gluing directed triangles into closed
 surfaces, domination numbers are recomputed by raw subset enumeration, and
 connected sets by powerset filtering.  Agreement between these oracles and
-the fast paths is what the tests assert.  ``reference_minimum_cds`` is
-different: it keeps the connected-domination search with only its coverage
-and distance prunes, to pin the exact certificates the production search
-emits as further prunes are added.
+the fast paths is what the tests assert.  ``reference_minimum_cds`` and
+``reference_gamma`` are different: they keep earlier forms of the
+production searches (the connected-domination search with only its
+coverage and distance prunes, and the two-phase domination search), to pin
+the exact certificates the production searches emit as they change.
 """
 
 from __future__ import annotations
@@ -116,6 +117,61 @@ def reference_minimum_cds(g: Graph, collect_all: bool = False) -> List[int]:
         if found:
             return sorted(found, key=lambda m: tuple(bits(m)))
     raise AssertionError("no connected dominating set found")
+
+
+def reference_gamma(g: Graph) -> Tuple[int, int]:
+    """The two-phase domination search: (value, lexicographically least witness).
+
+    First it deepens from the greedy 2-packing bound, branching on the
+    undominated vertex with the fewest dominators, to find the value.  Then
+    it searches the sets of that size in lexicographic order for the first
+    one that dominates.  Its tables (closed neighborhoods, radius-2 balls,
+    dominator counts) are built here, not by the package.
+    """
+    n, full = g.n, g.full
+    adjn = [g.adj[v] | 1 << v for v in range(n)]
+    ball2 = []
+    for v in range(n):
+        b = 0
+        for x in bits(adjn[v]):
+            b |= adjn[x]
+        ball2.append(b)
+    covcnt = [m.bit_count() for m in adjn]
+
+    def packing(uncovered: int) -> int:
+        cnt = 0
+        while uncovered:
+            cnt += 1
+            uncovered &= ~ball2[(uncovered & -uncovered).bit_length() - 1]
+        return cnt
+
+    def feasible(covered: int, used: int, target: int) -> bool:
+        if covered == full:
+            return True
+        uncovered = full & ~covered
+        if used == target or used + packing(uncovered) > target:
+            return False
+        u = min(bits(uncovered), key=lambda x: covcnt[x])
+        return any(feasible(covered | adjn[v], used + 1, target) for v in bits(adjn[u]))
+
+    def lex_witness(start: int, covered: int, left: int) -> Optional[int]:
+        if left == 0:
+            return 0 if covered == full else None
+        if packing(full & ~covered) > left:
+            return None
+        for v in range(start, n - left + 1):
+            if adjn[v] & ~covered:
+                rest = lex_witness(v + 1, covered | adjn[v], left - 1)
+                if rest is not None:
+                    return rest | 1 << v
+        return None
+
+    value = packing(full)
+    while not feasible(0, 0, value):
+        value += 1
+    witness = lex_witness(0, 0, value)
+    assert witness is not None
+    return value, witness
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tridom import cli
 from tridom.cli import main
 from tridom.graphs import graph6_read
 from tridom.planar import Triangulation, planar_code_read, planar_code_write
@@ -32,6 +33,21 @@ def test_generate_json(tmp_path):
     payload = json.loads(out.read_text())
     assert len(payload) == 2
     assert all(set(d) == {"n", "rotations", "code"} for d in payload)
+
+
+def test_generate_json_codes_nothing(monkeypatch, tmp_path):
+    """The level is keyed by canonical code, so emitting it computes none."""
+    calls = []
+
+    def counted(t, _code=cli.canonical_code):
+        calls.append(t.n)
+        return _code(t)
+
+    monkeypatch.setattr(cli, "canonical_code", counted)
+    out = tmp_path / "t9.json"
+    assert main(["generate", "--n", "9", "--format", "json", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())) == 50
+    assert calls == []
 
 
 def test_solve_planar_code(tmp_path, capsys):
@@ -158,6 +174,10 @@ def test_census_input_not_a_triangulation_is_an_error(tmp_path, capsys):
     (["extremal", "--n-max", "5", "--where", "n % 0 == 1"], "--where fails at n=5"),
     (["extremal", "--n-max", "5", "--where", " + ".join(["n"] * 3000)], "nested too deeply"),
     (["family", "--which", "chain", "--k", "13"], "planar_code supports orders below 128"),
+    (["family", "--which", "A", "--k", "2"], "families A and B need k >= 3"),
+    (["family", "--which", "chain", "--k", "1"], "chains need k >= 2"),
+    (["generate", "--n", "3"], "--n must be in 4..14, got 3"),
+    (["generate", "--n", "15"], "--n must be in 4..14, got 15"),
 ])
 def test_bad_arguments_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:

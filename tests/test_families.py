@@ -17,11 +17,12 @@ from tridom.families import (
     octahedron_sum_report,
 )
 from tridom.generate import K4
-from tridom.graphs import induces_connected, is_dominating, vset
+from tridom.graphs import Graph, graph6_write, induces_connected, is_dominating, vset
 from tridom.planar import (
     canonical_code,
     faces,
     is_face,
+    planar_code_write,
     relabel,
     underlying_graph,
     verify_triangulation,
@@ -181,6 +182,16 @@ def test_family_values_reports_a_broken_law(monkeypatch, tmp_path, capsys):
     assert "family A at k=5 has connected domination number 5, expected 6" in err
 
 
+def test_family_gamma_values():
+    """Exact domination numbers 7, 8, 9 at k = 12, 14, 16, each with a dominating witness."""
+    for which in ("A", "B"):
+        for k, want in ((12, 7), (14, 8), (16, 9)):
+            g = underlying_graph(family(which, k))
+            cert = exact_gamma(g)
+            assert (cert.value, cert.witness.bit_count()) == (want, want), (which, k)
+            assert is_dominating(g, cert.witness)
+
+
 def test_family_orders_scale_with_k():
     for which, k in (("A", 6), ("B", 5)):
         t = family(which, k)
@@ -231,6 +242,18 @@ def test_icosa_chain_structure():
     assert verify_triangulation(t4).ok
     with pytest.raises(ValueError):
         icosa_chain(1)
+
+
+def test_only_the_formats_cap_the_order():
+    t = icosa_chain(13)
+    assert t.n == 132 and verify_triangulation(t).ok
+    g = underlying_graph(t)
+    assert g.check() is g
+    assert Graph.from_edges(130, [(v, v + 1) for v in range(129)]).edge_count() == 129
+    with pytest.raises(ValueError, match="below 128"):
+        planar_code_write([t])
+    with pytest.raises(ValueError, match="exceeds 128"):
+        graph6_write(g)
 
 
 def test_icosa_chain_2_values():

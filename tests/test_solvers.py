@@ -28,13 +28,14 @@ from tridom.graphs import (
     vset,
 )
 from tridom.planar import underlying_graph
-from tridom.families import icosa_chain, icosahedron, octahedron
+from tridom.families import family, icosa_chain, icosahedron, octahedron
 
 from helpers import (
     brute_gamma,
     brute_gamma_c,
     brute_minimum_dominating_sets,
     random_connected_graph,
+    reference_gamma,
     reference_minimum_cds,
 )
 
@@ -49,15 +50,32 @@ def test_exact_gamma_examples():
     assert exact_gamma(underlying_graph(icosa_chain(2))).value == 3
 
 
-def test_exact_gamma_matches_brute_force_and_lex_least():
+def test_exact_gamma_matches_brute_force_and_lex_least(levels_to_9):
     rng = random.Random(19)
-    for _ in range(30):
-        g = random_connected_graph(rng, rng.randint(2, 8), 0.35)
+    graphs = [random_connected_graph(rng, rng.randint(2, 8), 0.35) for _ in range(30)]
+    graphs += [underlying_graph(t) for n in range(4, 10) for t in levels_to_9[n]]
+    for g in graphs:
         cert = exact_gamma(g)
         assert cert.value == brute_gamma(g)
         minima = brute_minimum_dominating_sets(g, cert.value)
         lex_least = min(minima, key=lambda m: tuple(bits(m)))
         assert cert.witness == lex_least
+
+
+def test_exact_gamma_certificates_match_reference_search(levels_to_11):
+    """The one lexicographic search returns the certificate of the two-phase search."""
+    graphs = [underlying_graph(t) for n in range(4, 11) for t in levels_to_11[n]]
+    rng = random.Random(61)
+    graphs += [random_connected_graph(rng, rng.randint(2, 25), rng.choice((0.15, 0.3)))
+               for _ in range(60)]
+    graphs += [Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+               for n in (1, 2, 9, 17, 24, 30)]
+    graphs += [Graph.cycle(n) for n in (3, 10, 19, 27)]
+    graphs += [underlying_graph(family(which, k)) for which in "AB" for k in range(5, 13)]
+    graphs += [underlying_graph(icosa_chain(k)) for k in (2, 3, 4)]
+    for g in graphs:
+        value, witness = reference_gamma(g)
+        assert exact_gamma(g) == DominationCertificate(value, witness, METHOD_SUBSET)
 
 
 def test_exact_gamma_rejects_disconnected():
