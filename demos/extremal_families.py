@@ -6,8 +6,10 @@ order grows by 3 per step while gamma_c climbs to n/3.  The increment per
 step is readable off the chosen face: if it avoids every minimum connected
 dominating set the value jumps by 2, if it meets each at most once the value
 climbs by 1.  The icosahedron chains open a gap between gamma and gamma_c:
-exact search gives gamma_c 6, 9, 11 and gaps 3, 5, 6 for k = 2, 3, 4
-(k = 4 has 42 vertices and takes 15 to 20 s, so it is left out below).
+gamma = k + 1 and gamma_c = ceil(5k/2) + 1, so the gap is ceil(3k/2)
+(3, 5, 6, 8, ... for k = 2, 3, 4, 5, ...).  The law was measured for
+k = 2..30; exact_gamma_c solves these chains with the frontier DP, so the
+walk below runs to k = 8 in about a second.
 """
 
 import tridom as td
@@ -36,13 +38,14 @@ def family_walk(which: str, k_max: int) -> None:
 
 
 def chains() -> None:
-    print("\nicosahedron chains: measured gaps gamma_c - gamma are 3, 5, 6 for k = 2, 3, 4")
-    for k in (2, 3):
+    print("\nicosahedron chains: gamma = k + 1, gamma_c = ceil(5k/2) + 1, gap ceil(3k/2)")
+    for k in range(2, 9):
         t = td.icosa_chain(k)
         g = td.underlying_graph(t)
         gamma = td.exact_gamma(g).value
         gamma_c = td.exact_gamma_c(g).value
-        print(f"  k={k}: n={t.n}, gamma={gamma}, gamma_c={gamma_c}, gap={gamma_c - gamma}")
+        law = "law holds" if (gamma, gamma_c) == (k + 1, (5 * k + 1) // 2 + 1) else "LAW BROKEN"
+        print(f"  k={k}: n={t.n}, gamma={gamma}, gamma_c={gamma_c}, gap={gamma_c - gamma} ({law})")
 
 
 def main() -> None:

@@ -1,9 +1,9 @@
 """Exact connected domination of plane triangulations.
 
 Generation of all plane triangulations of small order, exact domination and
-connected domination solvers with certificates (subset search and an
-independent edge-contraction route), extremal family constructors, and a
-census driver with a built-in reference table.
+connected domination solvers with certificates (subset search, a frontier
+DP for thin graphs and an independent edge-contraction route), extremal
+family constructors, and a census driver with a built-in reference table.
 """
 
 from .graphs import (
@@ -60,7 +60,9 @@ from .domination import (
     contraction_search,
     exact_gamma,
     exact_gamma_c,
+    frontier_gamma_c,
     gamma_c_by_contraction,
+    subset_gamma_c,
 )
 from .families import (
     FamilySpec,

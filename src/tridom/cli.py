@@ -183,12 +183,13 @@ def _cmd_family(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--k {args.k}: {exc}") from exc
     t = spec.build()
-    try:
-        # only json prints the canonical code, and codes stop below order 256
-        code = canonical_code(t) if args.format == "json" else b""
-        _emit_triangulations({code: t}, args.format, args.out)
-    except ValueError as exc:
-        raise UsageError(f"--format {args.format}: {exc}") from exc
+    if args.out is not None or not args.values:  # --values keeps stdout for its JSON line
+        try:
+            # only json prints the canonical code, and codes stop below order 256
+            code = canonical_code(t) if args.format == "json" else b""
+            _emit_triangulations({code: t}, args.format, args.out)
+        except ValueError as exc:
+            raise UsageError(f"--format {args.format}: {exc}") from exc
     if args.values:
         g = underlying_graph(t)
         info = {"kind": spec.kind, "k": spec.k, "n": t.n,
@@ -299,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--which", choices=["A", "B", "chain"], required=True)
     f.add_argument("--k", type=int, required=True)
     f.add_argument("--format", choices=["planar_code", "graph6", "json"], default="planar_code")
-    f.add_argument("--out", default=None)
+    f.add_argument("--out", default=None,
+                   help="output file (default stdout; with --values, only when given)")
     f.add_argument("--values", action="store_true",
                    help="print exact domination values; exit 1 if A or B breaks its law")
     f.set_defaults(func=_cmd_family)

@@ -1,16 +1,49 @@
 """Exact domination and connected domination solvers, with certificates.
 
-Two independent routes to the connected domination number are provided:
+Three routes to the connected domination number are provided:
 
-* ``exact_gamma_c``  - the production route, used by ``classify``:
-  iterative deepening over connected vertex sets, with admissible pruning
-  (coverage potential, distance reachability and a 2-packing of the
-  vertices left undominated);
+* ``subset_gamma_c`` - subset search, the census route (``classify`` calls
+  it directly): iterative deepening over connected vertex sets, with
+  admissible pruning (coverage potential, distance reachability and a
+  2-packing of the vertices left undominated);
+* ``frontier_gamma_c`` - a dynamic program over the label order's frontier,
+  for thin graphs such as the extremal constructions (a path-decomposition
+  DP with connectivity states, after Bodlaender, Cygan, Kratsch and
+  Nederlof, Inf. Comput. 2015);
 * ``gamma_c_by_contraction`` - the verifier, used to cross-check stored
   values (``census.verify_corpus``): iterative deepening over connected
   acyclic edge sets, contracting each candidate set edge by edge and testing
   whether the merged vertex is universal in the resulting minor.  It shares
-  no search code with the production route, and is several times slower.
+  no search code with the other two routes, and is several times slower.
+
+``exact_gamma_c`` picks one of the first two from the input.  With k0 the
+subset search's first size (below) and w the label order's frontier width,
+it runs the DP iff 3**w < comb(n, k0): the DP's unlabelled state space
+against the candidate sets of the search's first level.  ``classify`` does
+not route: on census classes the DP is about 16 times slower than subset
+search (order 11, frontiers of 3 to 7 vertices: 1.8 s against 0.11 s), and
+the rule would still send some of them to it (20 of the 1,249 at order 11).
+
+Soundness of the frontier DP: vertices are taken in label order, and the
+frontier is the processed vertices that still have an unprocessed
+neighbour, so every processed neighbour of the next vertex v is on it.  A
+state gives each frontier vertex 0 (undominated), 1 (dominated) or the label
+of its component of S restricted to the processed vertices, labels numbered
+by first appearance, so equal partial solutions share a state.  Taking v
+into S marks its undominated frontier neighbours dominated and merges the
+components of its S neighbours with v; leaving v out marks v dominated iff
+it has an S neighbour.  Forget rule: a vertex that leaves the frontier (its
+last neighbour is processed) must be dominated, since nothing later can
+dominate it; and a component of S may leave only if another frontier
+vertex still carries its label, since a component with no unprocessed
+neighbour can never join the rest of S.  Closing rule: at the last vertex
+everything leaves together, and S must then form exactly one component.
+So the completed states are exactly the connected dominating sets.  Each
+state keeps the least (|S|, S); the order is total and a state's future
+does not depend on how it was reached, so the least value at the end is
+gamma_c and its set is the least minimum connected dominating set in that
+order.  The witness is re-checked (size, domination, connectivity) before
+it is returned.
 
 Correctness of the contraction route: contracting a spanning tree of a
 minimum connected dominating set (k = value-1 edges) merges it into a vertex
@@ -20,7 +53,7 @@ vertex set), so it cannot succeed earlier.  Only acyclic edge sets are
 searched: a connected set with a cycle contracts to a minor on more than
 n-k vertices, where no vertex of degree n-k-1 is universal.
 
-Pruning soundness in ``exact_gamma_c``: with s = |S| and m = k - s vertices
+Pruning soundness in the subset search: with s = |S| and m = k - s vertices
 still to add, any superset grown from S covers at most |N[S]| + m*(Delta+1)
 vertices, and every vertex it covers lies within distance m+1 of S.  And
 undominated vertices with pairwise disjoint closed neighborhoods (pairwise
@@ -49,7 +82,8 @@ minimum dominating set, at the least size that has one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from math import comb
+from typing import Dict, List, Optional, Tuple
 
 from .graphs import (
     PRUNE,
@@ -59,11 +93,16 @@ from .graphs import (
     closed_neighborhood,
     degree_stats,
     enumerate_connected_sets,
+    induces_connected,
     is_connected,
+    is_dominating,
 )
 from .planar import Triangulation, underlying_graph
 
 METHOD_SUBSET = "subset-search"
+METHOD_FRONTIER = "frontier-dp"
+
+FRONTIER_MAX = 253  # a byte holds the labels 2..w+1 of a width-w frontier and the mark 255
 METHOD_CONTRACTION = "contraction"
 METHOD_BFS_TREE = "bfs-tree-bound"
 METHOD_DELTA = "delta-shortcut"
@@ -213,11 +252,8 @@ def _gamma_c_search(g: Graph, k: int, adjn: List[int], balls: List[List[int]],
     return found
 
 
-def _minimum_cds(g: Graph, collect_all: bool) -> List[int]:
-    """Deepen from the lower bound to the first size with a connected dominating set.
-
-    Returns the first such set found, or with collect_all every one of that size.
-    """
+def _cds_tables(g: Graph) -> Tuple[List[int], int, List[List[int]], int, int]:
+    """Closed neighborhoods, Delta, distance balls, radius cap and the deepening start."""
     _require_connected(g)
     if g.n < 2:
         raise ValueError("connected domination needs at least two vertices")
@@ -226,6 +262,15 @@ def _minimum_cds(g: Graph, collect_all: bool) -> List[int]:
     balls, rmax = _distance_balls(g, adjn)
     ecc_max = rmax  # the last radius added is the diameter
     k0 = max(1, _packing_bound(g.full, balls[min(2, rmax)]), ecc_max - 1)
+    return adjn, dmax, balls, rmax, k0
+
+
+def _minimum_cds(g: Graph, collect_all: bool, tables: Optional[tuple] = None) -> List[int]:
+    """Deepen from the lower bound to the first size with a connected dominating set.
+
+    Returns the first such set found, or with collect_all every one of that size.
+    """
+    adjn, dmax, balls, rmax, k0 = tables or _cds_tables(g)
     for k in range(k0, g.n + 1):
         hits = _gamma_c_search(g, k, adjn, balls, rmax, dmax, collect_all)
         if hits:
@@ -233,9 +278,98 @@ def _minimum_cds(g: Graph, collect_all: bool) -> List[int]:
     raise AssertionError("connected graph always has a connected dominating set")
 
 
-def exact_gamma_c(g: Graph) -> DominationCertificate:
+def subset_gamma_c(g: Graph) -> DominationCertificate:
     """Minimum connected dominating set by deepening subset search."""
     s = _minimum_cds(g, collect_all=False)[0]
+    return DominationCertificate(s.bit_count(), s, METHOD_SUBSET)
+
+
+def _frontier_width(g: Graph) -> int:
+    """Most processed vertices with an unprocessed neighbour, over the label order."""
+    leaving = [0] * g.n
+    for v, m in enumerate(g.adj):
+        leaving[max(v, m.bit_length() - 1)] += 1
+    width = live = 0
+    for v in range(g.n):
+        live += 1 - leaving[v]
+        width = max(width, live)
+    return width
+
+
+def frontier_gamma_c(g: Graph) -> DominationCertificate:
+    """Minimum connected dominating set by dynamic programming over the label order.
+
+    A state is one byte per frontier vertex: 0 undominated, 1 dominated, or
+    a component label >= 2 for a vertex in S, numbered by first appearance.
+    It keeps the least (|S|, S), packed as |S| << n | S.
+    """
+    _require_connected(g)
+    n = g.n
+    if n < 2:
+        raise ValueError("connected domination needs at least two vertices")
+    if _frontier_width(g) > FRONTIER_MAX:
+        raise ValueError(f"the frontier DP takes label-order frontiers of at most"
+                         f" {FRONTIER_MAX} vertices")
+    adj = g.adj
+    # leave[u]: the step after which u has no unprocessed neighbour
+    leave = [max(u, m.bit_length() - 1) for u, m in enumerate(adj)]
+    merged = 255  # the label of v's component before normalising
+    one = 1 << n
+    frontier: List[int] = []
+    layer = {b"": 0}
+    for v in range(n):
+        near = [i for i, u in enumerate(frontier) if adj[v] >> u & 1]
+        frontier.append(v)
+        keep = [i for i, u in enumerate(frontier) if leave[u] > v]
+        gone = [i for i, u in enumerate(frontier) if leave[u] <= v]
+        last = v == n - 1
+        add = one | 1 << v
+        nxt: Dict[bytes, int] = {}
+        for st, val in layer.items():
+            joined = {st[i] for i in near if st[i] > 1}
+            s = list(st)
+            for i in near:
+                if s[i] == 0:
+                    s[i] = 1
+            if joined:
+                s = [merged if x in joined else x for x in s]
+            s.append(merged)
+            for full, cost in ((st + (b"\1" if joined else b"\0"), val), (s, val + add)):
+                if any(full[i] == 0 for i in gone):
+                    continue  # a vertex left the frontier undominated
+                if last:
+                    if len({x for x in full if x > 1}) != 1:
+                        continue  # S did not close into one component
+                    key = b""
+                else:
+                    rest = [full[i] for i in keep]
+                    if any(full[i] > 1 and full[i] not in rest for i in gone):
+                        continue  # a component left the frontier before the end
+                    labels: Dict[int, int] = {}
+                    key = bytes([x if x < 2 else labels.setdefault(x, len(labels) + 2)
+                                 for x in rest])
+                old = nxt.get(key)
+                if old is None or cost < old:
+                    nxt[key] = cost
+        frontier = [frontier[i] for i in keep]
+        layer = nxt
+    value, witness = layer[b""] >> n, layer[b""] & (one - 1)
+    if (witness.bit_count() != value or not is_dominating(g, witness)
+            or not induces_connected(g, witness)):
+        raise AssertionError("the frontier DP returned no connected dominating set")
+    return DominationCertificate(value, witness, METHOD_FRONTIER)
+
+
+def exact_gamma_c(g: Graph) -> DominationCertificate:
+    """Minimum connected dominating set, by the route the input favours.
+
+    The frontier DP runs iff 3**w < comb(n, k0), w the label order's frontier
+    width and k0 the subset search's first size; otherwise subset search.
+    """
+    tables = _cds_tables(g)
+    if 3 ** _frontier_width(g) < comb(g.n, tables[-1]):
+        return frontier_gamma_c(g)
+    s = _minimum_cds(g, False, tables)[0]
     return DominationCertificate(s.bit_count(), s, METHOD_SUBSET)
 
 
@@ -394,9 +528,9 @@ def classify(t: Triangulation) -> DominationCertificate:
 
     Max degree n-1 forces value 1 and n-2 forces value 2 (with an explicit
     two-vertex witness); everything else goes through subset search
-    (``exact_gamma_c``).  The contraction route is not used here; it stays
-    as the independent verifier.  The method field records which path
-    produced the answer.
+    (``subset_gamma_c``), never the frontier DP.  The contraction route is
+    not used here; it stays as the independent verifier.  The method field
+    records which path produced the answer.
     """
     g = underlying_graph(t)
     n = g.n
@@ -408,4 +542,4 @@ def classify(t: Triangulation) -> DominationCertificate:
         common = g.adj[vmax] & g.adj[w]
         u = (common & -common).bit_length() - 1
         return DominationCertificate(2, (1 << vmax) | (1 << u), METHOD_DELTA)
-    return exact_gamma_c(g)
+    return subset_gamma_c(g)

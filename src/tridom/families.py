@@ -8,16 +8,20 @@ grows by one or two per step depending on how the chosen face meets the
 minimum connected dominating sets; families A and B below follow the two
 known base graphs on nine vertices.  Members are built, not solved: the law
 gamma_c = k = n/3 for k >= 5 (``expected_family_value``) is pinned by the
-tests for k = 3..10 and checked by ``tridom family --values``, which solves
-the member once.
+tests for k = 3..40 and checked by ``tridom family --values``, which solves
+the member once.  The frontier DP of ``domination`` also gave it for
+k = 41..60, 80 and 100.
 
 The icosahedron chain glues k icosahedra along outer-face edges so that all
 copies share one vertex, then triangulates the outer hole with a fan of
-chords.  Its domination number is k + 1 for k = 2, 3, 4 (the shared vertex
-and one interior vertex per copy); exact search gives connected domination
-numbers 6, 9, 11 and gaps gamma_c - gamma of 3, 5, 6 for k = 2, 3, 4.  No
-larger k has been solved, so whether the gap grows without bound for this
-construction, and whether it is the paper's chain, is not settled here.
+chords.  Consecutive copies meet the rest only in the shared vertex, w1 and
+the previous copy's w, so the chain is thin and ``exact_gamma_c`` solves it
+with the frontier DP.  Chain law, measured for k = 2..30: gamma = k + 1
+(the shared vertex and one interior vertex per copy) and
+gamma_c = ceil(5k/2) + 1, so the gap gamma_c - gamma = ceil(3k/2)
+(3, 5, 6, 8, ..., 45 at k = 30) grows with k over that whole range.  The
+tests pin gamma_c for k = 2..12 and both values at k = 2, 3, 4 and 13.
+Whether this is the paper's chain is not settled here.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .domination import all_minimum_cds, exact_gamma_c
+from .domination import all_minimum_cds, classify
 from .planar import Face, Triangulation, faces, from_face_list, is_face, underlying_graph
 from . import generate
 
@@ -107,7 +111,7 @@ def octahedron_sum_report(t: Triangulation, f: Face) -> SumReport:
     minima = all_minimum_cds(g)
     hits = max((s & fmask).bit_count() for s in minima)
     base = minima[0].bit_count()
-    summed = exact_gamma_c(underlying_graph(octahedron_sum(t, f))).value
+    summed = classify(octahedron_sum(t, f)).value
     predicted = {0: 2, 1: 1}.get(hits)
     observed = summed - base
     consistent = (observed == predicted) if predicted is not None else None
@@ -127,12 +131,12 @@ def family_base(which: str) -> Tuple[Triangulation, Face]:
         raise ValueError("family must be 'A' or 'B'")
     level9 = generate.triangulations(9)
     if which == "B":
-        with_3 = [t for t in level9 if exact_gamma_c(underlying_graph(t)).value == 3]
+        with_3 = [t for t in level9 if classify(t).value == 3]
         if len(with_3) != 1:
             raise RuntimeError(f"expected exactly one 9-vertex graph with value 3, found {len(with_3)}")
         t = with_3[0]
         for f in faces(t):
-            summed = exact_gamma_c(underlying_graph(octahedron_sum(t, f))).value
+            summed = classify(octahedron_sum(t, f)).value
             if summed == 3:
                 return t, f
         raise RuntimeError("no face of the base keeps the value at 3 after one sum")

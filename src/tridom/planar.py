@@ -261,8 +261,11 @@ def canonical_code(t: Triangulation) -> bytes:
     Equal codes mean isomorphic as plane triangulations of the sphere,
     orientation-reversing maps included.  Expects a structurally valid
     embedding (run verify_triangulation on untrusted input); disconnected
-    rotation systems are rejected.
+    rotation systems are rejected.  A code spends one byte per vertex
+    label, so orders of 256 or more are rejected too.
     """
+    if t.n >= 256:
+        raise ValueError(f"canonical codes support orders below 256, got {t.n}")
     return bytes(_min_code(t.rot))
 
 

@@ -187,6 +187,26 @@ def test_bad_arguments_are_usage_errors(argv, message, capsys):
     assert message in err and "Traceback" not in err
 
 
+def test_family_values_alone_prints_one_json_line(capsys):
+    """Without --out, --values writes no member, so a 132-vertex chain solves."""
+    assert main(["family", "--which", "chain", "--k", "13", "--values"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"kind": "chain", "k": 13, "n": 132,
+                                    "gamma_c": 34, "gamma": 14}
+
+
+def test_family_json_past_order_255_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "chain26.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--which", "chain", "--k", "26", "--format", "json", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "canonical codes support orders below 256, got 262" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_family_chain_values(tmp_path, capsys):
     out = tmp_path / "chain2.plc"
     assert main(["family", "--which", "chain", "--k", "2",

@@ -3,7 +3,14 @@ import json
 import pytest
 
 from tridom import cli, families
-from tridom.domination import all_minimum_cds, exact_gamma, exact_gamma_c
+from tridom.domination import (
+    all_minimum_cds,
+    classify,
+    exact_gamma,
+    exact_gamma_c,
+    frontier_gamma_c,
+    subset_gamma_c,
+)
 from tridom.families import (
     FamilySpec,
     expected_family_value,
@@ -144,15 +151,22 @@ def test_family_values_quick():
 
 
 def _count_solves(monkeypatch):
-    """Count exact_gamma_c calls made through the modules that build and print members."""
+    """Count the solves made through the modules that build and print members.
+
+    families solves with classify and all_minimum_cds, cli with exact_gamma_c.
+    """
     calls = []
 
-    def counted(g, _solve=exact_gamma_c):
-        calls.append(g.n)
-        return _solve(g)
+    def counting(solve):
+        def counted(x):
+            calls.append(x.n)
+            return solve(x)
+        return counted
 
-    for module in (families, cli):
-        monkeypatch.setattr(module, "exact_gamma_c", counted)
+    for module, name, solve in ((families, "classify", classify),
+                                (families, "all_minimum_cds", all_minimum_cds),
+                                (cli, "exact_gamma_c", exact_gamma_c)):
+        monkeypatch.setattr(module, name, counting(solve))
     return calls
 
 
@@ -244,6 +258,13 @@ def test_icosa_chain_structure():
         icosa_chain(1)
 
 
+def test_canonical_code_rejects_orders_from_256():
+    t = icosa_chain(26)
+    assert t.n == 262
+    with pytest.raises(ValueError, match="canonical codes support orders below 256, got 262"):
+        canonical_code(t)
+
+
 def test_only_the_formats_cap_the_order():
     t = icosa_chain(13)
     assert t.n == 132 and verify_triangulation(t).ok
@@ -263,14 +284,15 @@ def test_icosa_chain_2_values():
 
 
 def test_icosa_chain_4_values():
-    """At k = 4 the gap is 6, not the 2k - 1 = 7 of k = 2, 3."""
+    """At k = 4 the gap is 6, not the 2k - 1 = 7 of k = 2, 3.  Subset search
+    and the frontier DP both give gamma_c = 11 with verified witnesses."""
     g = underlying_graph(icosa_chain(4))
     assert exact_gamma(g).value == 5
-    cert = exact_gamma_c(g)
-    assert cert.value == 11
-    assert cert.witness.bit_count() == 11
-    assert is_dominating(g, cert.witness)
-    assert induces_connected(g, cert.witness)
+    for cert in (subset_gamma_c(g), frontier_gamma_c(g)):
+        assert cert.value == 11
+        assert cert.witness.bit_count() == 11
+        assert is_dominating(g, cert.witness)
+        assert induces_connected(g, cert.witness)
 
 
 def test_icosa_chain_dominating_witness_structure():

@@ -8,6 +8,7 @@ from tridom.domination import (
     METHOD_BFS_TREE,
     METHOD_CONTRACTION,
     METHOD_DELTA,
+    METHOD_FRONTIER,
     METHOD_SUBSET,
     DominationCertificate,
     all_minimum_cds,
@@ -17,7 +18,9 @@ from tridom.domination import (
     contraction_search,
     exact_gamma,
     exact_gamma_c,
+    frontier_gamma_c,
     gamma_c_by_contraction,
+    subset_gamma_c,
 )
 from tridom.graphs import (
     Graph,
@@ -362,7 +365,7 @@ def test_exact_gamma_c_certificates_match_reference_search(levels_to_11):
     graphs += [random_connected_graph(rng, rng.randint(2, 12), 0.3) for _ in range(30)]
     for g in graphs:
         want = reference_minimum_cds(g)[0]
-        assert exact_gamma_c(g) == DominationCertificate(want.bit_count(), want, METHOD_SUBSET)
+        assert subset_gamma_c(g) == DominationCertificate(want.bit_count(), want, METHOD_SUBSET)
     for t in levels_to_11[8]:
         g = underlying_graph(t)
         assert all_minimum_cds(g) == reference_minimum_cds(g, collect_all=True)
@@ -376,6 +379,63 @@ def test_packing_prune_cuts_the_chain_search(monkeypatch):
         return visited[-1]
 
     monkeypatch.setattr(domination, "enumerate_connected_sets", counted)
-    cert = exact_gamma_c(underlying_graph(icosa_chain(3)))
+    cert = subset_gamma_c(underlying_graph(icosa_chain(3)))
     assert cert.value == 9
     assert sum(visited) <= 180_000  # 690,366 without the packing prune
+
+
+def test_frontier_dp_agrees_with_subset_search(levels_to_11):
+    """Same value as subset search, with a verified witness, on every class
+    of orders 5..10, on random connected graphs and on chains 2 and 3."""
+    graphs = [underlying_graph(t) for n in range(5, 11) for t in levels_to_11[n]]
+    rng = random.Random(41)
+    graphs += [random_connected_graph(rng, rng.randint(2, 12), rng.choice((0.2, 0.3, 0.5)))
+               for _ in range(200)]
+    graphs += [underlying_graph(icosa_chain(k)) for k in (2, 3)]
+    for g in graphs:
+        cert = frontier_gamma_c(g)
+        assert cert.method == METHOD_FRONTIER
+        assert cert.value == subset_gamma_c(g).value
+        assert cert.witness.bit_count() == cert.value
+        assert is_dominating(g, cert.witness)
+        assert induces_connected(g, cert.witness)
+
+
+def test_frontier_dp_chain_law():
+    """icosa_chain(k) has gamma_c = ceil(5k/2) + 1 for k = 2..12."""
+    for k in range(2, 13):
+        g = underlying_graph(icosa_chain(k))
+        cert = exact_gamma_c(g)
+        assert cert.value == (5 * k + 1) // 2 + 1, k
+        assert is_dominating(g, cert.witness) and induces_connected(g, cert.witness)
+
+
+def test_frontier_dp_family_values_to_40():
+    for which in ("A", "B"):
+        for k in range(5, 41):
+            g = underlying_graph(family(which, k))
+            cert = exact_gamma_c(g)
+            assert cert.value == k, (which, k)
+            assert is_dominating(g, cert.witness) and induces_connected(g, cert.witness)
+
+
+def test_exact_gamma_c_routes_by_frontier_width():
+    """The DP runs iff 3**w < comb(n, k0): thin chains go to it, small or dense graphs not."""
+    routed = {
+        "A10": underlying_graph(family("A", 10)),
+        "chain3": underlying_graph(icosa_chain(3)),
+        "A5": underlying_graph(family("A", 5)),
+        "K6": Graph.complete(6),
+    }
+    methods = {name: exact_gamma_c(g).method for name, g in routed.items()}
+    assert methods == {"A10": METHOD_FRONTIER, "chain3": METHOD_FRONTIER,
+                       "A5": METHOD_SUBSET, "K6": METHOD_SUBSET}
+
+
+def test_frontier_dp_rejects_what_it_cannot_encode():
+    with pytest.raises(ValueError, match="at most 253"):
+        frontier_gamma_c(Graph.complete(300))
+    with pytest.raises(ValueError, match="disconnected"):
+        frontier_gamma_c(Graph(2, [0, 0]))
+    with pytest.raises(ValueError, match="two vertices"):
+        frontier_gamma_c(Graph(1, [0]))
