@@ -193,12 +193,12 @@ def _distance_balls(g: Graph, adjn: List[int]) -> Tuple[List[List[int]], int]:
     while any(m != full for m in balls[-1]):
         prev = balls[-1]
         nxt = []
-        for m in prev:
+        for m, inner in zip(prev, balls[-2]):
             if m == full:
                 nxt.append(full)
                 continue
             b = m
-            x = m
+            x = m & ~inner  # the newest shell: only it can reach further
             while x:
                 lo = x & -x
                 b |= adjn[lo.bit_length() - 1]

@@ -6,11 +6,11 @@ with edges ae, af, bf, bg, ce, cg.  Iterating it on the freshly added
 triangle produces order-3k triangulations whose connected domination number
 grows by one or two per step depending on how the chosen face meets the
 minimum connected dominating sets; families A and B below follow the two
-known base graphs on nine vertices.  Members are built, not solved: the law
-gamma_c = k = n/3 for k >= 5 (``expected_family_value``) is pinned by the
-tests for k = 3..40 and checked by ``tridom family --values``, which solves
-the member once.  The frontier DP of ``domination`` also gave it for
-k = 41..60, 80 and 100.
+known base graphs on nine vertices.  The bases are stored data (canonical
+code and face), and the tests pin the properties that define them.  Members
+are built, not solved: the law gamma_c = k = n/3 for k >= 5
+(``expected_family_value``) is pinned by the tests for k = 3..60, 80 and
+100 and checked by ``tridom family --values``, which solves the member once.
 
 The icosahedron chain glues k icosahedra along outer-face edges so that all
 copies share one vertex, then triangulates the outer hole with a fan of
@@ -31,8 +31,8 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .domination import all_minimum_cds, classify
-from .planar import Face, Triangulation, faces, from_face_list, is_face, underlying_graph
-from . import generate
+from .planar import (Face, Triangulation, from_face_list, is_face, triangulation_from_code,
+                     underlying_graph)
 
 
 def octahedron() -> Triangulation:
@@ -118,37 +118,30 @@ def octahedron_sum_report(t: Triangulation, f: Face) -> SumReport:
     return SumReport(base, summed, hits, predicted, observed, consistent)
 
 
+# Canonical code (hex) and designated face of each family's nine-vertex base.
+_BASES = {
+    "A": ("020304000104050300010205060400010306070805020002040809060300030509"
+          "070400040609080004070905000508070600", (0, 2, 1)),
+    "B": ("020304050001050607030001020708040001030809050001040906020002050907"
+          "000206090803000307090400040807060500", (0, 1, 4)),
+}
+
+
 @lru_cache(maxsize=None)
 def family_base(which: str) -> Tuple[Triangulation, Face]:
     """Nine-vertex base triangulation and designated face for family A or B.
 
     B's base is the unique 9-vertex triangulation whose connected domination
-    number is 3, with the face whose octahedron sum keeps the value at 3.
-    A's base is the code-least 9-vertex triangulation with value 2 having a
-    face disjoint from every minimum connected dominating set.
+    number is 3, with the first face (in ``faces`` order) whose octahedron
+    sum keeps the value at 3.  A's base is the code-least 9-vertex
+    triangulation with value 2 having a face disjoint from every minimum
+    connected dominating set, with the first such face.  Both are stored as
+    canonical codes; the tests derive them again from the order-9 level.
     """
-    if which not in ("A", "B"):
+    if which not in _BASES:
         raise ValueError("family must be 'A' or 'B'")
-    level9 = generate.triangulations(9)
-    if which == "B":
-        with_3 = [t for t in level9 if classify(t).value == 3]
-        if len(with_3) != 1:
-            raise RuntimeError(f"expected exactly one 9-vertex graph with value 3, found {len(with_3)}")
-        t = with_3[0]
-        for f in faces(t):
-            summed = classify(octahedron_sum(t, f)).value
-            if summed == 3:
-                return t, f
-        raise RuntimeError("no face of the base keeps the value at 3 after one sum")
-    for t in level9:
-        minima = all_minimum_cds(underlying_graph(t))
-        if minima[0].bit_count() != 2:
-            continue
-        for f in faces(t):
-            fmask = (1 << f[0]) | (1 << f[1]) | (1 << f[2])
-            if all((s & fmask) == 0 for s in minima):
-                return t, f
-    raise RuntimeError("no 9-vertex base with a face avoiding all minimum sets")
+    code, face = _BASES[which]
+    return triangulation_from_code(bytes.fromhex(code)), face
 
 
 def expected_family_value(which: str, k: int) -> int:

@@ -2,12 +2,18 @@ import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 # tests always exercise this checkout, installed or not
 sys.path.insert(0, os.path.dirname(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
 
 import tridom as td
+
+# property tests replay the same 300 examples on every run and write no example database
+settings.register_profile("tridom", max_examples=300, derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("tridom")
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tridom import cli
 from tridom.cli import main
@@ -244,3 +245,23 @@ def test_extremal_rejects_unknown_names():
         with pytest.raises(SystemExit) as exc:
             main(["extremal", "--n-max", "6", "--where", where])
         assert exc.value.code == 2
+
+
+# well-formed expressions over allowed and forbidden names, constants and operators
+_where_exprs = st.recursive(
+    st.sampled_from(["n", "gamma", "gamma_c", "Delta", "x", "0", "3", "1.5", "'s'", "True"]),
+    lambda e: st.tuples(e, st.sampled_from(["+", "-", "*", "/", "//", "%", "**", "<<", "==", "<",
+                                            ">=", "in", "is", "and", "or", "if n else"]), e)
+    .map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+    | st.tuples(st.sampled_from(["-", "not ", "~", "abs(", "lambda: ", "[", "("]), e)
+    .map(lambda t: t[0] + t[1] + {"abs(": ")", "[": "]", "(": ",)"}.get(t[0], "")),
+    max_leaves=8)
+
+
+@given(st.text(alphabet="nDgamtcel_0123456789 +-*/%<>=!~&|^()[].,:'\"aodrsif", max_size=40)
+       | _where_exprs)
+def test_where_rejects_any_bad_expression_with_usage_error(text):
+    try:
+        cli._where_code(text)
+    except cli.UsageError:
+        pass

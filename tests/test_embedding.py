@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tridom.generate import K4, triangulations
 from tridom.graphs import Graph
@@ -14,6 +15,7 @@ from tridom.planar import (
     from_face_list,
     is_face,
     mirror,
+    planar_code_iter,
     planar_code_read,
     planar_code_write,
     relabel,
@@ -187,3 +189,18 @@ def test_from_face_list_keeps_seed_orientation():
     assert is_face(oc, (0, 1, 2))
     ico = icosahedron()
     assert is_face(ico, (0, 1, 2))
+
+
+# one record that parses: order n, then n zero-terminated neighbour lists
+_parsed_records = st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(1, n), max_size=6), min_size=n, max_size=n).map(
+    lambda rows: bytes([n, *(x for r in rows for x in [*r, 0])])))
+
+
+@given(st.binary(max_size=64) | st.lists(_parsed_records, max_size=3).map(b"".join))
+def test_planar_code_rejects_any_bad_bytes_with_value_error(data):
+    try:
+        for t in planar_code_iter(data):
+            verify_triangulation(t)
+    except ValueError:
+        pass

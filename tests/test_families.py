@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tridom import cli, families
+from tridom import cli, families, generate
 from tridom.domination import (
     all_minimum_cds,
     classify,
@@ -83,14 +83,24 @@ def test_family_bases(levels_to_9):
     assert all((s & fmask) == 0 for s in all_minimum_cds(ga))
     with pytest.raises(ValueError):
         family_base("C")
+    # the stored A base is the code-least order-9 class with value 2 that has
+    # a face avoiding every minimum set, and the face is the first such face
+    for t in levels_to_9[9]:
+        minima = all_minimum_cds(underlying_graph(t))
+        avoiding = [f for f in faces(t) if all((s & vset(f)) == 0 for s in minima)]
+        if minima[0].bit_count() == 2 and avoiding:
+            break
+    assert (canonical_code(ta), fa) == (canonical_code(t), avoiding[0])
+    assert ta.rot == t.rot
 
 
 def test_family_b_base_is_unique_value3_graph(levels_to_9):
-    with_3 = [t for t in levels_to_9[9]
-              if exact_gamma_c(underlying_graph(t)).value == 3]
+    with_3 = [t for t in levels_to_9[9] if classify(t).value == 3]
     assert len(with_3) == 1
-    tb, _ = family_base("B")
-    assert canonical_code(tb) == canonical_code(with_3[0])
+    keeping = [f for f in faces(with_3[0]) if classify(octahedron_sum(with_3[0], f)).value == 3]
+    tb, fb = family_base("B")
+    assert (canonical_code(tb), fb) == (canonical_code(with_3[0]), keeping[0])
+    assert tb.rot == with_3[0].rot
 
 
 def test_sum_report_family_a_base_predicts_plus_two():
@@ -168,6 +178,22 @@ def _count_solves(monkeypatch):
                                 (cli, "exact_gamma_c", exact_gamma_c)):
         monkeypatch.setattr(module, name, counting(solve))
     return calls
+
+
+def test_family_base_generates_and_solves_nothing(monkeypatch):
+    levels_calls = []
+    levels = generate.levels
+
+    def counted_levels(n_max):
+        levels_calls.append(n_max)
+        return levels(n_max)
+
+    monkeypatch.setattr(generate, "levels", counted_levels)
+    calls = _count_solves(monkeypatch)
+    family_base.cache_clear()
+    for which in ("A", "B"):
+        assert family_base(which)[0].n == 9
+    assert levels_calls == [] and calls == []
 
 
 def test_family_build_solves_nothing(monkeypatch):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tridom.graphs import (
     Graph,
@@ -203,3 +204,13 @@ def test_graph6_errors():
     with pytest.raises(ValueError):
         graph6_read("?")  # order 0
     assert graph6_read(">>graph6<<C~") == Graph.complete(4)
+
+
+@given(st.text(max_size=40) | st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=128),
+                                       max_size=40))
+def test_graph6_read_rejects_any_bad_text_with_value_error(text):
+    try:
+        g = graph6_read(text)
+    except ValueError:
+        return
+    assert graph6_read(graph6_write(g)).adj == g.adj

@@ -410,9 +410,10 @@ def test_frontier_dp_chain_law():
         assert is_dominating(g, cert.witness) and induces_connected(g, cert.witness)
 
 
-def test_frontier_dp_family_values_to_40():
+def test_frontier_dp_family_values_to_100():
+    """gamma_c = k for A and B at every k the docs claim: 5..60, 80 and 100."""
     for which in ("A", "B"):
-        for k in range(5, 41):
+        for k in [*range(5, 61), 80, 100]:
             g = underlying_graph(family(which, k))
             cert = exact_gamma_c(g)
             assert cert.value == k, (which, k)
