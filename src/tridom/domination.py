@@ -354,10 +354,16 @@ def frontier_gamma_c(g: Graph) -> DominationCertificate:
         frontier = [frontier[i] for i in keep]
         layer = nxt
     value, witness = layer[b""] >> n, layer[b""] & (one - 1)
-    if (witness.bit_count() != value or not is_dominating(g, witness)
-            or not induces_connected(g, witness)):
-        raise AssertionError("the frontier DP returned no connected dominating set")
-    return DominationCertificate(value, witness, METHOD_FRONTIER)
+    return _checked(g, DominationCertificate(value, witness, METHOD_FRONTIER))
+
+
+def _checked(g: Graph, cert: DominationCertificate) -> DominationCertificate:
+    """cert, after checking that its witness is a connected dominating set of its size."""
+    w = cert.witness
+    if w.bit_count() != cert.value or not is_dominating(g, w) or not induces_connected(g, w):
+        raise AssertionError(f"{cert.method} returned no connected dominating set of size"
+                             f" {cert.value}")
+    return cert
 
 
 def exact_gamma_c(g: Graph) -> DominationCertificate:
@@ -530,16 +536,19 @@ def classify(t: Triangulation) -> DominationCertificate:
     two-vertex witness); everything else goes through subset search
     (``subset_gamma_c``), never the frontier DP.  The contraction route is
     not used here; it stays as the independent verifier.  The method field
-    records which path produced the answer.
+    records which path produced the answer.  Every witness is checked
+    (size, domination, connectivity) before it is returned.
     """
     g = underlying_graph(t)
     n = g.n
     _, dmax, vmax = degree_stats(g)
     if dmax == n - 1:
-        return DominationCertificate(1, 1 << vmax, METHOD_DELTA)
-    if dmax == n - 2:
+        cert = DominationCertificate(1, 1 << vmax, METHOD_DELTA)
+    elif dmax == n - 2:
         w = (g.full & ~closed_neighborhood(g, vmax)).bit_length() - 1
         common = g.adj[vmax] & g.adj[w]
         u = (common & -common).bit_length() - 1
-        return DominationCertificate(2, (1 << vmax) | (1 << u), METHOD_DELTA)
-    return subset_gamma_c(g)
+        cert = DominationCertificate(2, (1 << vmax) | (1 << u), METHOD_DELTA)
+    else:
+        cert = subset_gamma_c(g)
+    return _checked(g, cert)

@@ -3,19 +3,45 @@
 Every plane triangulation on n+1 >= 5 vertices arises from one on n vertices
 by inserting a vertex of degree 3 (inside a face), degree 4 (across an edge)
 or degree 5 (over a fan of three consecutive faces at an apex of degree at
-least 5).  Enumeration is level-synchronous: children of every triangulation
-of one order are deduplicated by canonical code, so the next level holds
-each isomorphism class exactly once.
+least 5).  Enumeration is level-synchronous and follows McKay's canonical
+construction path (J. Algorithms 1998; the same moves as plantri, Brinkmann
+& McKay 2007): a child is kept only if its new vertex is, up to automorphism,
+the child's canonical reduction, and the kept children are deduplicated by
+canonical code, so the next level holds each isomorphism class exactly once.
 
-Only children whose new vertex has the child's minimum degree are built, the
-first step of McKay's canonical construction path (J. Algorithms 1998; the
-same moves as plantri, Brinkmann & McKay 2007).  This loses no class: every
-triangulation of order >= 5 has a reducible vertex of degree <= 5 (one whose
-deletion inverts a move), and every vertex of degree 3 or 4 is reducible, so
-some reducible vertex has the minimum degree, and reducing it gives a parent
-in the previous level.  Whether a child passes is read off the parent's
-degrees before the child is built: a move changes only the degrees of the
-vertices around its site.
+Every vertex u of minimum degree (at most 5) can be deleted by inverting a
+move, so that the rest is a triangulation of order n: a degree-3 vertex
+leaves a face; a degree-4 vertex is replaced by a diagonal of its link; a
+degree-5 vertex by the two chords of its link from some apex
+(``collapse_deg5``).  The far side of the link cycle is a disk, where chords
+cannot cross, so at most one diagonal of a 4-cycle and at most two chords of
+a 5-cycle, sharing an end, are edges already; two chords of a pentagon
+touch three of its five vertices, so at least two apices are free.  No
+vertex drops below degree 3 (a neighbour of a degree-3 vertex has degree at
+least 4 once n >= 5).
+
+The canonical reduction is the minimum-degree vertex with the largest sorted
+tuple of neighbour degrees; if several share the largest tuple, the one the
+canonical labelling numbers first.  Both depend only on the isomorphism
+class, so the vertex is fixed up to automorphism.  A child is kept iff its
+new vertex v = n - 1 is in the orbit of that vertex.  The tuples decide
+first, so a child some other vertex outranks is dropped without being coded;
+only children where v ties with other vertices are decided by the labelling,
+from the same coding that gives their code (``_accepted_code``).
+
+No class is lost.  Take a class of order n+1 and delete its canonical
+reduction u: the rest is isomorphic to a class P of the previous level, and
+the isomorphism carries the inverted move to a site of P.  Expanding that
+site gives a child isomorphic to the class whose new vertex is the image of
+u; it has the minimum degree, so ``successors`` yields it, and it is in the
+orbit of the canonical reduction, so it is kept.  The kept codes still go
+through a set: two sites of one parent exchanged by an automorphism of the
+parent give the same class, and so does a vertex of degree 4 or 5 with more
+than one way to be deleted (two diagonals, or several free apices).
+
+``successors`` builds only the children whose new vertex has the child's
+minimum degree, read off the parent's degrees before the child is built: a
+move changes only the degrees of the vertices around its site.
 
 Moves that would break simplicity are skipped silently during enumeration
 but raise when one of the expansion functions is called directly.
@@ -23,9 +49,10 @@ but raise when one of the expansion functions is called directly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .planar import Face, Triangulation, canonical_code, faces, is_face, triangulation_from_code
+from .planar import (Face, Triangulation, _min_code, canonical_code, faces, is_face,
+                     triangulation_from_code)
 
 MIN_ORDER = 4
 MAX_ORDER = 14
@@ -179,17 +206,65 @@ def levels(n_max: int) -> Iterator[Tuple[int, Dict[bytes, Triangulation]]]:
 
     A level maps the canonical code of each class to its canonical form
     (``triangulation_from_code`` of the code), in code order, so the output
-    is independent of expansion order and every code is computed once.  The
-    next level is expanded from the yielded one, so callers must not change it.
+    is independent of expansion order.  Only the children that the canonical
+    construction path does not reject by the invariant are coded, each once.
+    The next level is expanded from the yielded one, so callers must not
+    change it.
     """
     if not MIN_ORDER <= n_max <= MAX_ORDER:
         raise ValueError(f"order must be in {MIN_ORDER}..{MAX_ORDER}, got {n_max}")
     level = level_from_codes([canonical_code(K4)])
     yield 4, level
     for n in range(5, n_max + 1):
-        level = level_from_codes({canonical_code(child) for parent in level.values()
-                                  for child in successors(parent)})
+        level = level_from_codes({code for parent in level.values() for child in successors(parent)
+                                  if (code := _accepted_code(child)) is not None})
         yield n, level
+
+
+def _screen(child: Triangulation) -> Optional[List[int]]:
+    """Rank the new vertex v = n - 1 against the other minimum-degree vertices
+    by their sorted neighbour degrees.
+
+    None if one of them ranks above v, so that v is not the canonical
+    reduction; otherwise those that tie with v (an empty list when v alone
+    ranks highest).  Expects v to have the child's minimum degree.
+    """
+    rot = child.rot
+    v = child.n - 1
+    deg = [len(r) for r in rot]
+    d = deg[v]
+    key = sorted([deg[x] for x in rot[v]])
+    ties = []
+    for u in range(v):
+        if deg[u] == d:
+            k = sorted([deg[x] for x in rot[u]])
+            if k > key:
+                return None
+            if k == key:
+                ties.append(u)
+    return ties
+
+
+def _accepted_code(child: Triangulation) -> Optional[bytes]:
+    """The child's canonical code if its new vertex lies in the orbit of the
+    canonical reduction, else None.
+
+    Among tied vertices the canonical reduction is the one that the canonical
+    labelling numbers first.  Every labelling that reaches the canonical code
+    gives the tied vertices the same set of labels, so v lies in the orbit of
+    the canonical reduction iff one of them gives v the least of those labels.
+    """
+    ties = _screen(child)
+    if ties is None:
+        return None
+    if not ties:
+        return canonical_code(child)
+    code, labels = _min_code(child.rot)
+    v = child.n - 1
+    least = min(labels[0][u] for u in ties + [v])
+    if any(label[v] == least for label in labels):
+        return bytes(code)
+    return None
 
 
 def level_from_codes(codes: Iterable[bytes]) -> Dict[bytes, Triangulation]:

@@ -22,6 +22,11 @@ rotation, started at the neighbor through which it was discovered, followed
 by a 0 terminator.  Every candidate rooted at a vertex of non-minimum degree
 is dominated by any minimum-degree root (its first block terminates
 earlier), so only minimum-degree roots are tried.
+
+``_min_code`` returns the code together with the label array of every
+candidate that reaches it.  Those candidates differ exactly by the
+automorphisms of the embedding, so the arrays give the automorphism orbits;
+generation uses them to decide a child whose new vertex ties with others.
 """
 
 from __future__ import annotations
@@ -189,9 +194,11 @@ def mirror(t: Triangulation) -> Triangulation:
 def _emit_code(view, dbl, u0, v0, best):
     """BFS rotation code for one rooted, oriented candidate.
 
-    Returns the code as a list of ints if strictly smaller than ``best``
-    (or if best is None), else None.  Comparison is interleaved with
-    emission so dominated candidates abort early.
+    Returns (code, label) if the code is strictly smaller than ``best`` (or
+    best is None), (None, label) if it equals ``best``, else None; code is a
+    list of ints and label[x] the 1-based label the candidate gives vertex x.
+    Comparison is interleaved with emission so dominated candidates abort
+    early.
     """
     n = len(view)
     label = [0] * n
@@ -233,10 +240,18 @@ def _emit_code(view, dbl, u0, v0, best):
         i += 1
     if len(order) != n:
         raise ValueError("embedding is disconnected")
-    return out if improved else None
+    return (out if improved else None), label
 
 
-def _min_code(rot) -> List[int]:
+def _min_code(rot) -> Tuple[List[int], List[List[int]]]:
+    """The least candidate code, and the label array of every candidate that
+    reaches it.
+
+    Two candidates with the same code differ by an automorphism of the
+    embedding (reflections included), so the label arrays run over the
+    automorphism group: vertices x and y lie in one orbit iff some array
+    gives y the label the first one gives x.
+    """
     n = len(rot)
     degs = [len(r) for r in rot]
     if min(degs) == 0:
@@ -244,15 +259,20 @@ def _min_code(rot) -> List[int]:
     dmin = min(degs)
     roots = [v for v in range(n) if degs[v] == dmin]
     best: Optional[List[int]] = None
+    labels: List[List[int]] = []
     for view in (rot, tuple(r[::-1] for r in rot)):
         dbl = [r + r for r in view]
         for u0 in roots:
             for v0 in view[u0]:
                 cand = _emit_code(view, dbl, u0, v0, best)
                 if cand is not None:
-                    best = cand
+                    code, label = cand
+                    if code is None:
+                        labels.append(label)
+                    else:
+                        best, labels = code, [label]
     assert best is not None
-    return best
+    return best, labels
 
 
 def canonical_code(t: Triangulation) -> bytes:
@@ -266,7 +286,7 @@ def canonical_code(t: Triangulation) -> bytes:
     """
     if t.n >= 256:
         raise ValueError(f"canonical codes support orders below 256, got {t.n}")
-    return bytes(_min_code(t.rot))
+    return bytes(_min_code(t.rot)[0])
 
 
 def triangulation_from_code(code: bytes) -> Triangulation:

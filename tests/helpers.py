@@ -16,8 +16,9 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from tridom import generate, planar
 from tridom.census import REFERENCE_CENSUS
 from tridom.graphs import (
     PRUNE,
@@ -192,15 +193,32 @@ def all_children(t: Triangulation) -> List[Triangulation]:
     return kids
 
 
-def all_moves_levels(n_max: int) -> Dict[int, Set[bytes]]:
-    """Canonical codes per order from K4 up to n_max, expanding every child."""
+def all_moves_levels(n_max: int, expand: Callable[[Triangulation], Iterable[Triangulation]]
+                     = all_children) -> Dict[int, Set[bytes]]:
+    """Canonical codes per order from K4 up to n_max, coding every child that
+    expand yields (by default every move) and deduplicating by set."""
     out = {4: {canonical_code(K4)}}
     parents = [K4]
     for n in range(5, n_max + 1):
-        kids = {canonical_code(c): c for t in parents for c in all_children(t)}
+        kids = {canonical_code(c): c for t in parents for c in expand(t)}
         out[n] = set(kids)
         parents = list(kids.values())
     return out
+
+
+def count_codings(monkeypatch) -> List[int]:
+    """Patch in a counter of codings and return its list of orders.  Each
+    coding is one _min_code call, made through canonical_code in planar or,
+    for a child that ties on the acceptance invariant, from generate."""
+    calls: List[int] = []
+
+    def counted(rot, _min_code=planar._min_code):
+        calls.append(len(rot))
+        return _min_code(rot)
+
+    for module in (planar, generate):
+        monkeypatch.setattr(module, "_min_code", counted)
+    return calls
 
 
 def random_triangulation(rng: random.Random, n: int) -> Triangulation:
@@ -210,6 +228,43 @@ def random_triangulation(rng: random.Random, n: int) -> Triangulation:
         kids = all_children(t)
         t = kids[rng.randrange(len(kids))]
     return t
+
+
+def automorphism_orbit(t: Triangulation, u: int) -> Set[int]:
+    """Images of u under every automorphism of the embedding, reflections
+    included: each directed edge (a, b) of t or of its mirror is tried as the
+    image of the directed edge (0, rot[0][0]), and the map is grown along the
+    rotations and kept if it is a bijection that respects every rotation."""
+    rot = t.rot
+    out = set()
+    for view in (rot, tuple(r[::-1] for r in rot)):
+        for a in range(t.n):
+            for b in view[a]:
+                phi = {0: a}
+                entry = {0: (rot[0][0], b)}
+                queue = [0]
+                ok = True
+                for x in queue:
+                    rx, ry = rot[x], view[phi[x]]
+                    p, q = entry[x]
+                    d = len(rx)
+                    if len(ry) != d or q not in ry:
+                        ok = False
+                        break
+                    i, j = rx.index(p), ry.index(q)
+                    for k in range(d):
+                        s, y = rx[(i + k) % d], ry[(j + k) % d]
+                        if s not in phi:
+                            phi[s] = y
+                            entry[s] = (x, phi[x])
+                            queue.append(s)
+                        elif phi[s] != y:
+                            ok = False
+                    if not ok:
+                        break
+                if ok and len(set(phi.values())) == t.n:
+                    out.add(phi[u])
+    return out
 
 
 def random_permutation(rng: random.Random, n: int) -> List[int]:

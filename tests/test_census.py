@@ -4,7 +4,6 @@ import time
 
 import pytest
 
-from tridom import census, generate, planar
 from tridom.census import (
     CensusRow,
     REFERENCE_CENSUS,
@@ -20,9 +19,11 @@ from tridom.census import (
     verify_corpus,
 )
 from tridom.domination import exact_gamma_c
-from tridom.generate import levels, successors, triangulations
+from tridom.generate import _screen, levels, successors, triangulations
 from tridom.graphs import bits, induces_connected, is_dominating
 from tridom.planar import mirror, planar_code_write, relabel
+
+from helpers import count_codings
 
 
 def test_census_counts_small(census_default):
@@ -203,25 +204,16 @@ def test_row_time_covers_generation():
     assert all(r.wall_time >= 0.05 for r in rows)
 
 
-def _count_codings(monkeypatch):
-    """Count canonical_code calls made through the modules that code."""
-    calls = []
-
-    def counted(t, _code=planar.canonical_code):
-        calls.append(t.n)
-        return _code(t)
-
-    for module in (planar, generate, census):
-        monkeypatch.setattr(module, "canonical_code", counted)
-    return calls
-
-
 def test_census_codes_each_child_once(monkeypatch):
-    children = sum(1 for n in range(4, 8) for t in triangulations(n) for _ in successors(t))
-    calls = _count_codings(monkeypatch)
+    children = [child for n in range(4, 8) for t in triangulations(n)
+                for child in successors(t)]
+    screened = [child for child in children if _screen(child) is not None]
+    calls = count_codings(monkeypatch)
     _, records = census_records(5, 8)
     assert len(records) == 1 + 2 + 5 + 14
-    assert len(calls) == 1 + children  # K4, then every child of orders 4..7
+    # K4, then each child of orders 4..7 that the invariant does not reject,
+    # once; the rejected children are never coded
+    assert len(calls) == 1 + len(screened) < 1 + len(children)
 
 
 def test_ingest_codes_each_input_once(monkeypatch):
@@ -233,7 +225,7 @@ def test_ingest_codes_each_input_once(monkeypatch):
         ts += [relabel(t, perm), mirror(relabel(t, perm[::-1]))]
     data = planar_code_write(ts)
     native = [c for n, level in levels(8) if n >= 7 for c in level]
-    calls = _count_codings(monkeypatch)
+    calls = count_codings(monkeypatch)
     _, records = census_records(7, 8, levels=levels_from_planar_code(data))
     assert len(calls) == len(ts)
     assert [r.code for r in records] == native

@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
 from tridom.generate import (
     K4,
+    _accepted_code,
     collapse_deg5,
     expand_deg3,
     expand_deg4,
@@ -14,13 +18,16 @@ from tridom.generate import (
 from tridom.planar import (
     canonical_code,
     faces,
+    mirror,
+    relabel,
     underlying_graph,
     verify_triangulation,
 )
 from tridom.families import icosahedron, octahedron
 
 from helpers import (all_children, all_moves_levels, assemble_triangulations,
-                     cone_triangulations)
+                     automorphism_orbit, cone_triangulations, count_codings,
+                     random_permutation)
 
 KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}
 
@@ -136,6 +143,93 @@ def test_filtered_levels_match_all_moves_levels():
     everything = all_moves_levels(10)
     for n, level in levels(10):
         assert set(level) == everything[n], f"order {n}"
+
+
+def test_accepted_levels_match_coding_every_child():
+    """Coding only the children the acceptance rule keeps loses no class and
+    changes no level: the verifier codes every child successors yields."""
+    everything = all_moves_levels(11, successors)
+    for n, level in levels(11):
+        assert list(level) == sorted(everything[n]), f"order {n}"
+
+
+# sha256 of the concatenated canonical codes of each level, in level order
+LEVEL_DIGESTS = {
+    5: "9dd405c93a0ab2c0d116e15d0ceda1bec2d40e00fe77c8d43cd8dccd3f3b2bf0",
+    6: "e530d625745e0fdd75c5584457253c2aeb4dd550e308b4a0657035b5f08923e9",
+    7: "852f543019fb7b70d328a43396982c3de6b434bb8cc1ab1c715b5f8ce4cee55c",
+    8: "10f66466d7303f2ffd309d26abf1a6839aaa367cc63e4c948d2f2519b7e45eff",
+    9: "0f08a658cb4b81d7de4c6f1856c224df5238c5d40ac4c9fb50c7b3d2eeaa913e",
+    10: "c9eaef60d3101e78a65efee849da7f926000bb1035926bdd0d48d543bb5baef5",
+    11: "f8c480500117934aa6e303fb5333d1aa66da988ebf16f27b2e9de36f1217a6a6",
+    12: "aed36ec310fd0df99a319c1edbd2be090ce411a2a03da87b723ce670481c2f63",
+}
+
+
+def test_level_digests_and_codings_to_12(monkeypatch):
+    """Levels 5..12 are pinned byte for byte, and generating them codes K4 and
+    12,056 of the 29,184 children (every canonical code is one _min_code call,
+    through planar or, for ties, generate)."""
+    calls = count_codings(monkeypatch)
+    digests = {n: hashlib.sha256(b"".join(level)).hexdigest()
+               for n, level in levels(12) if n >= 5}
+    assert digests == LEVEL_DIGESTS
+    assert len(calls) == 1 + 12_056
+
+
+def _with_last(t, u):
+    """t with vertices u and n - 1 swapped."""
+    perm = list(range(t.n))
+    perm[u], perm[-1] = perm[-1], perm[u]
+    return relabel(t, perm)
+
+
+def _accepted_vertices(t):
+    """Minimum-degree vertices u that the acceptance rule takes for the new
+    vertex when u is swapped to the last label."""
+    dmin = min(map(len, t.rot))
+    out = set()
+    for u in range(t.n):
+        if len(t.rot[u]) == dmin:
+            code = _accepted_code(_with_last(t, u))
+            if code is not None:
+                assert code == canonical_code(t)
+                out.add(u)
+    return out
+
+
+def test_acceptance_rule_accepts_one_orbit_invariantly(levels_to_11):
+    """The rule accepts exactly one nonempty automorphism orbit of new
+    vertices, and the same one however the class is labelled or reflected."""
+    rng = random.Random(11)
+    classes = [t for n in range(6, 11) for t in levels_to_11[n]] + [icosahedron()]
+    for t in classes:
+        accepted = _accepted_vertices(t)
+        assert accepted and all(automorphism_orbit(t, u) == accepted for u in accepted)
+        for _ in range(2):
+            perm = random_permutation(rng, t.n)
+            s = relabel(t, perm)
+            if rng.random() < 0.5:
+                s = mirror(s)
+            assert _accepted_vertices(s) == {perm[u] for u in accepted}
+
+
+def test_every_degree5_vertex_is_reducible(levels_to_11):
+    """collapse_deg5 deletes every degree-5 vertex at some apex and gives a
+    triangulation, the icosahedron's included, so the acceptance rule may
+    take any minimum-degree vertex as a reduction."""
+    for t in [icosahedron()] + [t for n in range(6, 12) for t in levels_to_11[n]]:
+        for u in range(t.n):
+            if len(t.rot[u]) == 5:
+                s = _with_last(t, u)
+                parents = []
+                for apex in s.rot[-1]:
+                    try:
+                        parents.append(collapse_deg5(s, s.n - 1, apex))
+                    except ValueError:
+                        pass
+                assert len(parents) >= 2
+                assert all(verify_triangulation(p).ok for p in parents)
 
 
 def test_opposite_vertices():

@@ -339,6 +339,18 @@ def test_classify_shortcuts_and_agreement(levels_to_9):
     assert searched  # order 7 has only shortcut classes; order 8 does not
 
 
+def test_classify_rejects_a_bad_witness(monkeypatch, levels_to_9):
+    t9 = next(t for t in levels_to_9[9] if classify(t).method == METHOD_SUBSET)
+    good = classify(t9)
+    low = good.witness & (good.witness - 1)  # one vertex short
+    for bad in (DominationCertificate(good.value, low, METHOD_SUBSET),
+                DominationCertificate(good.value - 1, low, METHOD_SUBSET),
+                DominationCertificate(good.value + 1, good.witness, METHOD_SUBSET)):
+        monkeypatch.setattr(domination, "subset_gamma_c", lambda g, bad=bad: bad)
+        with pytest.raises(AssertionError, match="no connected dominating set"):
+            classify(t9)
+
+
 def test_classify_octahedron_uses_shortcut():
     cert = classify(octahedron())
     assert cert.value == 2
