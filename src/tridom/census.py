@@ -113,10 +113,26 @@ class CensusRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CensusRecord":
-        code = bytes.fromhex(d["code"])
-        t = triangulation_from_code(code)
-        rec = cls(d["n"], code, t.rot, d["gamma_c"], vset(d["witness"]),
-                  d["method"], d["Delta"])
+        """The record ``to_dict`` wrote, checked first: its code must decode
+        to a triangulation of order n, and its witness must be a connected
+        dominating set of size gamma_c.  Raises ValueError naming the record
+        otherwise."""
+        try:
+            code = bytes.fromhex(d["code"])
+            t = triangulation_from_code(code)
+            report = verify_triangulation(t)
+            if not report.ok:
+                raise ValueError(f"code is not a triangulation: {report.problem}")
+            if t.n != d["n"]:
+                raise ValueError(f"code has order {t.n}")
+            g = underlying_graph(t)
+            witness = vset(d["witness"])
+            if (witness.bit_count() != d["gamma_c"] or not is_dominating(g, witness)
+                    or not induces_connected(g, witness)):
+                raise ValueError("witness is not a connected dominating set of size gamma_c")
+        except ValueError as exc:
+            raise ValueError(f"record n={d['n']} code={d['code']}: {exc}") from exc
+        rec = cls(d["n"], code, t.rot, d["gamma_c"], witness, d["method"], d["Delta"])
         if "gamma" in d:
             rec._gamma_cert = DominationCertificate(
                 d["gamma"], vset(d["gamma_witness"]), "subset-search")

@@ -108,6 +108,15 @@ def _read_input(path: Optional[str], fmt: str
 
 
 def _cmd_solve(args) -> int:
+    """Print one JSON line per input item, in order; exit 1 if any failed.
+
+    Two errors are per record: a ValueError (the item is malformed or not a
+    triangulation) and an AssertionError (a solver's witness failed its
+    re-check, see ``domination._checked``).  Either prints the item's index
+    with the error and goes on to the next item: every answer is checked on
+    its own, so one failed check says nothing against the others.  Any
+    other exception is a fault of the program and propagates.
+    """
     failures = 0
     for idx, item in enumerate(_read_input(args.input, args.format)):
         try:
@@ -130,6 +139,9 @@ def _cmd_solve(args) -> int:
                 rec["gamma_witness"] = sorted(bits(gcert.witness))
         except ValueError as exc:
             rec = {"index": idx, "error": str(exc)}
+            failures += 1
+        except AssertionError as exc:
+            rec = {"index": idx, "error": f"internal check failed: {exc}"}
             failures += 1
         print(json.dumps(rec))
     return 1 if failures else 0

@@ -75,6 +75,11 @@ def expand_deg3(t: Triangulation, f: Face) -> Triangulation:
     """Insert a new vertex of degree 3 inside face f = (a, b, c)."""
     if not is_face(t, f):
         raise ValueError(f"{f} is not a face")
+    return _insert_deg3(t, f)
+
+
+def _insert_deg3(t: Triangulation, f: Face) -> Triangulation:
+    """expand_deg3 for a face known to be one, say from ``faces(t)``."""
     a, b, c = f
     v = t.n
     rot = list(t.rot)
@@ -183,7 +188,7 @@ def successors(t: Triangulation) -> Iterator[Triangulation]:
     """
     deg = [len(r) for r in t.rot]
     for f in faces(t):
-        yield expand_deg3(t, f)
+        yield _insert_deg3(t, f)
     deg3 = {v for v in range(t.n) if deg[v] == 3}
     if len(deg3) <= 2:
         for e in t.edges():

@@ -23,6 +23,22 @@ by a 0 terminator.  Every candidate rooted at a vertex of non-minimum degree
 is dominated by any minimum-degree root (its first block terminates
 earlier), so only minimum-degree roots are tried.
 
+Their first block is [2, 3, ..., d+1, 0] for every root edge (u0, v0), d the
+minimum degree, and the second block, the rotation of v0 from u0, is fixed
+by local structure too.  Call the edge plain when u0 and v0 have only the
+two common neighbours that share a face with the edge.  In a triangulation
+v0's rotation from u0 runs u0, the last vertex of u0's rotation (label
+d+1), then its other neighbours, and ends at the second (label 3); for a
+plain edge those others are new, so the block is
+[1, d+1, d+2, ..., d+deg(v0)-2, 3, 0].  Of two plain edges the one with the
+smaller deg(v0) puts 3 where the other puts a new label, so only plain edges
+of the least deg(v0) can start the least code, and every other plain edge
+loses strictly: dropping it drops no candidate that reaches the code.  An
+edge with a third common neighbour, a chord of u0's link, may put that
+neighbour's label earlier, so it is always tried.  A link of three vertices
+has no chords.  This filter reads the embedding as a triangulation, which
+is why canonical coding expects one.
+
 ``_min_code`` returns the code together with the label array of every
 candidate that reaches it.  Those candidates differ exactly by the
 automorphisms of the embedding, so the arrays give the automorphism orbits;
@@ -88,14 +104,19 @@ class ValidityReport:
         return self.ok
 
 
-def underlying_graph(t: Triangulation) -> Graph:
-    adj = [0] * t.n
-    for v, r in enumerate(t.rot):
+def _adjacency(rot) -> List[int]:
+    """The neighbourhood bitmask of every vertex."""
+    adj = [0] * len(rot)
+    for v, r in enumerate(rot):
         m = 0
         for u in r:
             m |= 1 << u
         adj[v] = m
-    return Graph(t.n, adj)
+    return adj
+
+
+def underlying_graph(t: Triangulation) -> Graph:
+    return Graph(t.n, _adjacency(t.rot))
 
 
 def faces(t: Triangulation) -> List[Face]:
@@ -191,56 +212,18 @@ def mirror(t: Triangulation) -> Triangulation:
     return Triangulation(t.n, tuple(r[::-1] for r in t.rot))
 
 
-def _emit_code(view, dbl, u0, v0, best):
-    """BFS rotation code for one rooted, oriented candidate.
-
-    Returns (code, label) if the code is strictly smaller than ``best`` (or
-    best is None), (None, label) if it equals ``best``, else None; code is a
-    list of ints and label[x] the 1-based label the candidate gives vertex x.
-    Comparison is interleaved with emission so dominated candidates abort
-    early.
-    """
-    n = len(view)
-    label = [0] * n
-    label[u0] = 1
-    entry = [0] * n
-    entry[u0] = v0
-    order = [u0]
-    out: List[int] = []
-    ap = out.append
-    improved = best is None
-    i = 0
-    nxt = 2
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        rx = view[x]
-        s = rx.index(entry[x])
-        for nb in dbl[x][s:s + len(rx)]:
-            lb = label[nb]
-            if lb == 0:
-                label[nb] = lb = nxt
-                nxt += 1
-                order.append(nb)
-                entry[nb] = x
-            if not improved:
-                b = best[i]
-                if lb > b:
-                    return None
-                if lb < b:
-                    improved = True
-            ap(lb)
-            i += 1
-        if not improved:
-            if best[i] != 0:
-                improved = True  # 0 < any label: candidate is smaller here
-            # best[i] == 0 keeps the tie
-        ap(0)
-        i += 1
-    if len(order) != n:
-        raise ValueError("embedding is disconnected")
-    return (out if improved else None), label
+def _root_edges(rot, degs: List[int], d: int) -> List[Tuple[int, List[int]]]:
+    """The root edges (u0, v0) that can start the least code: every u0 of
+    degree d, with the ends v0 that are chords of its link or plain of the
+    least degree among plain edges (see the module docstring)."""
+    roots = [v for v, k in enumerate(degs) if k == d]
+    if d == 3:  # a 3-cycle link has no chords
+        kmin = min([degs[v] for u in roots for v in rot[u]])
+        return [(u, [v for v in rot[u] if degs[v] == kmin]) for u in roots]
+    adj = _adjacency(rot)
+    chord = {(u, v) for u in roots for v in rot[u] if (adj[u] & adj[v]).bit_count() > 2}
+    kmin = min((degs[v] for u in roots for v in rot[u] if (u, v) not in chord), default=0)
+    return [(u, [v for v in rot[u] if degs[v] == kmin or (u, v) in chord]) for u in roots]
 
 
 def _min_code(rot) -> Tuple[List[int], List[List[int]]]:
@@ -250,27 +233,72 @@ def _min_code(rot) -> Tuple[List[int], List[List[int]]]:
     Two candidates with the same code differ by an automorphism of the
     embedding (reflections included), so the label arrays run over the
     automorphism group: vertices x and y lie in one orbit iff some array
-    gives y the label the first one gives x.
+    gives y the label the first one gives x.  The arrays come in the order
+    of (orientation, u0, v0 in the rotation of u0), clockwise first.
+
+    Each candidate is a breadth-first pass that compares every rotation
+    block with the same stretch of ``best`` before keeping it: a larger
+    block aborts the candidate, and only a smaller one starts a new code
+    from ``best``'s prefix.  Block 1 is the same for every candidate and is
+    not compared.
     """
     n = len(rot)
     degs = [len(r) for r in rot]
-    if min(degs) == 0:
+    d = min(degs)
+    if d == 0:
         raise ValueError("isolated vertex in embedding")
-    dmin = min(degs)
-    roots = [v for v in range(n) if degs[v] == dmin]
+    edges = _root_edges(rot, degs, d)
+    block1 = [*range(2, d + 2), 0]
     best: Optional[List[int]] = None
     labels: List[List[int]] = []
-    for view in (rot, tuple(r[::-1] for r in rot)):
-        dbl = [r + r for r in view]
-        for u0 in roots:
-            for v0 in view[u0]:
-                cand = _emit_code(view, dbl, u0, v0, best)
-                if cand is not None:
-                    code, label = cand
-                    if code is None:
+    for dbl in ([r + r for r in rot], [r[::-1] * 2 for r in rot]):
+        for u0, ends in edges:
+            du = dbl[u0]
+            for s, v0 in enumerate(du[:d]):
+                if v0 not in ends:
+                    continue
+                label = [0] * n
+                label[u0] = 1
+                entry = [0] * n
+                order = list(du[s:s + d])  # labels 2.., then grown breadth first
+                for lb, x in enumerate(order, 2):
+                    label[x] = lb
+                    entry[x] = u0
+                nxt = d + 2
+                out = block1[:] if best is None else None
+                i = d + 1
+                for x in order:
+                    dx = dbl[x]
+                    k = degs[x]
+                    p = dx.index(entry[x])
+                    block = []
+                    for y in dx[p:p + k]:
+                        lb = label[y]
+                        if not lb:
+                            label[y] = lb = nxt
+                            nxt += 1
+                            order.append(y)
+                            entry[y] = x
+                        block.append(lb)
+                    block.append(0)
+                    if out is not None:
+                        out += block
+                        continue
+                    j = i + k + 1
+                    ref = best[i:j]
+                    if block != ref:
+                        if block > ref:
+                            break
+                        out = best[:i]
+                        out += block
+                    i = j
+                else:
+                    if len(order) + 1 != n:
+                        raise ValueError("embedding is disconnected")
+                    if out is None:
                         labels.append(label)
                     else:
-                        best, labels = code, [label]
+                        best, labels = out, [label]
     assert best is not None
     return best, labels
 
@@ -289,21 +317,18 @@ def canonical_code(t: Triangulation) -> bytes:
     return bytes(_min_code(t.rot)[0])
 
 
+#: Byte x to x - 1, so labels become vertices and the 0 terminator 0xff.
+_MINUS_ONE = bytes.maketrans(bytes(range(256)), bytes([255]) + bytes(range(255)))
+
+
 def triangulation_from_code(code: bytes) -> Triangulation:
     """Rebuild the canonical representative encoded by a canonical code."""
-    rot: List[Tuple[int, ...]] = []
-    block: List[int] = []
-    for sym in code:
-        if sym == 0:
-            if not block:
-                raise ValueError("empty rotation block in code")
-            rot.append(tuple(x - 1 for x in block))
-            block = []
-        else:
-            block.append(sym)
-    if block:
+    *blocks, tail = code.translate(_MINUS_ONE).split(b"\xff")
+    if not all(blocks):
+        raise ValueError("empty rotation block in code")
+    if tail:
         raise ValueError("unterminated rotation block in code")
-    return Triangulation(len(rot), rot)
+    return Triangulation(len(blocks), blocks)
 
 
 def canonical_form(t: Triangulation) -> Triangulation:

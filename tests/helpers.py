@@ -4,11 +4,14 @@ Everything here deliberately avoids the package's production algorithms:
 triangulations are re-enumerated by gluing directed triangles into closed
 surfaces, domination numbers are recomputed by raw subset enumeration, and
 connected sets by powerset filtering.  Agreement between these oracles and
-the fast paths is what the tests assert.  ``reference_minimum_cds`` and
-``reference_gamma`` are different: they keep earlier forms of the
-production searches (the connected-domination search with only its
-coverage and distance prunes, and the two-phase domination search), to pin
-the exact certificates the production searches emit as they change.
+the fast paths is what the tests assert.  ``reference_minimum_cds``,
+``reference_gamma``, ``reference_min_code`` and
+``reference_triangulation_from_code`` are different: they keep earlier
+forms of production code (the connected-domination search with only its
+coverage and distance prunes, the two-phase domination search, the coding
+kernel that tries every root edge, and the symbol-by-symbol decoder), to
+pin the exact certificates, codes and label arrays that the production
+code emits as it changes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from tridom.graphs import (
     is_dominating,
     vset,
 )
-from tridom.planar import Triangulation, canonical_code, faces, verify_triangulation
+from tridom.planar import (Face, Triangulation, canonical_code, faces, from_face_list,
+                           verify_triangulation)
 from tridom.generate import K4, expand_deg3, expand_deg4, expand_deg5, opposite_vertices
 
 
@@ -221,6 +225,139 @@ def count_codings(monkeypatch) -> List[int]:
     return calls
 
 
+def _reference_emit(view, dbl, u0, v0, best):
+    """BFS rotation code for one rooted, oriented candidate of
+    reference_min_code.
+
+    Returns (code, label) if the code is strictly smaller than ``best`` (or
+    best is None), (None, label) if it equals ``best``, else None; code is a
+    list of ints and label[x] the 1-based label the candidate gives vertex x.
+    Comparison is interleaved with emission so dominated candidates abort
+    early.
+    """
+    n = len(view)
+    label = [0] * n
+    label[u0] = 1
+    entry = [0] * n
+    entry[u0] = v0
+    order = [u0]
+    out: List[int] = []
+    ap = out.append
+    improved = best is None
+    i = 0
+    nxt = 2
+    qi = 0
+    while qi < len(order):
+        x = order[qi]
+        qi += 1
+        rx = view[x]
+        s = rx.index(entry[x])
+        for nb in dbl[x][s:s + len(rx)]:
+            lb = label[nb]
+            if lb == 0:
+                label[nb] = lb = nxt
+                nxt += 1
+                order.append(nb)
+                entry[nb] = x
+            if not improved:
+                b = best[i]
+                if lb > b:
+                    return None
+                if lb < b:
+                    improved = True
+            ap(lb)
+            i += 1
+        if not improved:
+            if best[i] != 0:
+                improved = True  # 0 < any label: candidate is smaller here
+            # best[i] == 0 keeps the tie
+        ap(0)
+        i += 1
+    if len(order) != n:
+        raise ValueError("embedding is disconnected")
+    return (out if improved else None), label
+
+
+def reference_min_code(rot) -> Tuple[List[int], List[List[int]]]:
+    """planar._min_code by trying every root edge at every minimum-degree
+    vertex in both orientations, with no filter: the least code, and the
+    label array of each candidate reaching it, in the order of (orientation,
+    u0, v0 in the rotation of u0), clockwise first."""
+    degs = [len(r) for r in rot]
+    roots = [v for v in range(len(rot)) if degs[v] == min(degs)]
+    best: Optional[List[int]] = None
+    labels: List[List[int]] = []
+    for view in (rot, tuple(r[::-1] for r in rot)):
+        dbl = [r + r for r in view]
+        for u0 in roots:
+            for v0 in view[u0]:
+                cand = _reference_emit(view, dbl, u0, v0, best)
+                if cand is not None:
+                    code, label = cand
+                    if code is None:
+                        labels.append(label)
+                    else:
+                        best, labels = code, [label]
+    assert best is not None
+    return best, labels
+
+
+def glued_on_a_face(t1: Triangulation, f1: Face, t2: Triangulation, f2: Face) -> Triangulation:
+    """t1 and t2, each with a new degree-3 vertex u put in face (a, b, c),
+    glued along their triangles (a, b, u), the second one reversed.  The two
+    copies of u become one vertex of degree 4 whose link has a chord, the
+    edge a-b; no other degree drops."""
+    s1, s2 = expand_deg3(t1, f1), expand_deg3(t2, f2)
+    (a1, b1, _), (a2, b2, _) = f1, f2
+    phi = {t2.n: t1.n, a2: b1, b2: a1}
+    for v in range(s2.n):
+        if v not in phi:
+            phi[v] = s1.n + len(phi) - 3
+    tris = [f for f in faces(s1) if set(f) != {a1, b1, t1.n}]
+    tris += [tuple(phi[v] for v in f) for f in faces(s2) if set(f) != {a2, b2, t2.n}]
+    return from_face_list(s1.n + s2.n - 3, tris)
+
+
+def capped_antiprism(m: int) -> Triangulation:
+    """The m-gonal antiprism with a cone over each m-gon: poles 0 and 2m + 1
+    of degree m, the other 2m vertices of degree 5 (m = 5: the icosahedron)."""
+    ring = range(1, m + 1)
+    top = [(0, i, i % m + 1) for i in ring]
+    down = [(i, i % m + 1, i + m) for i in ring]
+    up = [(i + m, i % m + m + 1, i % m + 1) for i in ring]
+    bottom = [(2 * m + 1, i + m, i % m + m + 1) for i in ring]
+    return from_face_list(2 * m + 2, top + down + up + bottom)
+
+
+def root_edges_of_least_code(t: Triangulation) -> Set[Tuple[int, int]]:
+    """The root edges (u0, v0), labelled 1 and 2, of every candidate that
+    reaches the least code in reference_min_code."""
+    return {(label.index(1), label.index(2)) for label in reference_min_code(t.rot)[1]}
+
+
+def is_chord_root_edge(t: Triangulation, u: int, v: int) -> bool:
+    """True iff u and v have a third common neighbour: v0 = v ends a chord
+    of the link of u0 = u."""
+    return len(set(t.rot[u]) & set(t.rot[v])) > 2
+
+
+def reference_triangulation_from_code(code: bytes) -> Triangulation:
+    """planar.triangulation_from_code symbol by symbol."""
+    rot: List[Tuple[int, ...]] = []
+    block: List[int] = []
+    for sym in code:
+        if sym == 0:
+            if not block:
+                raise ValueError("empty rotation block in code")
+            rot.append(tuple(x - 1 for x in block))
+            block = []
+        else:
+            block.append(sym)
+    if block:
+        raise ValueError("unterminated rotation block in code")
+    return Triangulation(len(rot), rot)
+
+
 def random_triangulation(rng: random.Random, n: int) -> Triangulation:
     """Random expansion walk from K4 up to order n."""
     t = K4
@@ -369,7 +506,6 @@ def polygon_triangulations(poly: List[int]) -> List[List[Tuple[int, int, int]]]:
 @lru_cache(maxsize=None)
 def cone_triangulations(m: int) -> FrozenSet[bytes]:
     """Canonical codes of all (m+1)-vertex triangulations with a universal vertex."""
-    from tridom.planar import from_face_list
     codes = set()
     for tri in polygon_triangulations(list(range(m))):
         face_set = list(tri) + [(m, (i + 1) % m, i) for i in range(m)]

@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 import time
 
@@ -172,6 +173,28 @@ def test_json_record_resolves_to_same_certificate(census_default):
     assert exact_gamma_c(g).value == 3
     assert is_dominating(g, back.gamma_c_witness)
     assert induces_connected(g, back.gamma_c_witness)
+
+
+def _corrupt_first_label(code: str) -> str:
+    """The hex code with the first label of its first block raised by one."""
+    raw = bytearray.fromhex(code)
+    raw[0] += 1
+    return raw.hex()
+
+
+@pytest.mark.parametrize("field, corrupt, message", [
+    ("code", _corrupt_first_label, "code is not a triangulation"),
+    ("code", lambda code: code[:-2], "unterminated rotation block in code"),
+    ("n", lambda n: n + 1, "code has order 9"),
+    ("witness", lambda w: w[:-1], "witness is not a connected dominating set of size gamma_c"),
+])
+def test_json_records_are_checked_on_load(census_default, field, corrupt, message):
+    _, records = census_default
+    d = next(r for r in records if r.n == 9 and r.gamma_c == 3).to_dict()
+    d[field] = corrupt(d[field])
+    text = json.dumps({"rows": [], "records": [d]})
+    with pytest.raises(ValueError, match=f"^record n={d['n']} code={d['code']}: {message}"):
+        results_from_json(text)
 
 
 def test_census_from_planar_code_matches_native():

@@ -98,6 +98,28 @@ def test_solve_answers_planar_code_records_before_a_truncated_one(tmp_path, caps
     assert bad == {"index": 1, "error": "truncated planar_code stream"}
 
 
+def test_solve_reports_a_failed_witness_check_per_record(tmp_path, capsys, monkeypatch):
+    """An AssertionError from a solver's witness check fails its record only:
+    the records before and after it are answered, no traceback is printed,
+    and the exit status is 1."""
+    def classify_failing_on_order_12(t, _classify=cli.classify):
+        if t.n == 12:
+            raise AssertionError("subset-search returned no connected dominating set of size 4")
+        return _classify(t)
+
+    monkeypatch.setattr(cli, "classify", classify_failing_on_order_12)
+    inp = tmp_path / "oc_ico_oc.plc"
+    inp.write_bytes(planar_code_write([octahedron(), icosahedron(), octahedron()]))
+    assert main(["solve", "--input", str(inp)]) == 1
+    out, err = capsys.readouterr()
+    first, bad, third = map(json.loads, out.strip().splitlines())
+    assert first["index"] == 0 and first["gamma_c"] == 2
+    assert bad == {"index": 1, "error": "internal check failed: subset-search returned no"
+                   " connected dominating set of size 4"}
+    assert third["index"] == 2 and third["gamma_c"] == 2
+    assert err == ""
+
+
 def test_solve_rejects_non_triangulation_and_answers_the_rest(tmp_path, capsys):
     inp = tmp_path / "bad_then_octahedron.plc"
     bad = Triangulation(4, ((1, 2, 3), (0, 2), (0, 1, 3), (0, 1, 2)))  # vertex 1 lacks 3

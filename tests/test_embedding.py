@@ -9,6 +9,7 @@ from tridom.graphs import Graph
 from tridom.planar import (
     PLANAR_CODE_HEADER,
     Triangulation,
+    _min_code,
     canonical_code,
     canonical_form,
     faces,
@@ -25,7 +26,9 @@ from tridom.planar import (
 )
 from tridom.families import icosahedron, octahedron
 
-from helpers import random_permutation, random_triangulation
+from helpers import (capped_antiprism, glued_on_a_face, is_chord_root_edge, random_permutation,
+                     random_triangulation, reference_min_code, reference_triangulation_from_code,
+                     root_edges_of_least_code)
 
 
 def test_faces_counts():
@@ -134,6 +137,54 @@ def test_triangulation_from_code_round_trip():
         rebuilt = triangulation_from_code(code)
         assert canonical_code(rebuilt) == code
         assert verify_triangulation(rebuilt).ok
+
+
+def test_min_code_matches_every_candidate_verifier(code_levels_to_11):
+    """The filtered kernel gives the code and the label arrays, in order, of
+    the kernel that tries every root edge.  The sample: every class of
+    orders 4..10 and the icosahedron, each relabelled twice and mirrored;
+    random triangulations of orders 14..30; and triangulations glued on a
+    face, whose degree-4 vertex has chord root edges."""
+    rng = random.Random(20)
+    classes = [t for n, level in code_levels_to_11.items() if n <= 10 for t in level.values()]
+    classes.append(icosahedron())
+    sample = []
+    for t in classes:
+        sample += [t, relabel(t, random_permutation(rng, t.n)),
+                   relabel(t, random_permutation(rng, t.n)), mirror(t)]
+    sample += [random_triangulation(rng, n) for n in range(14, 31) for _ in range(3)]
+    glued = [glued_on_a_face(capped_antiprism(m1), (1, 2, 0), capped_antiprism(m2), (1, 2, 0))
+             for m1, m2 in ((6, 6), (6, 7), (7, 7))]
+    thick = [t for t in classes if min(map(len, t.rot)) >= 4]
+    for _ in range(10):
+        t1, t2 = rng.choice(thick), rng.choice(thick)
+        glued.append(glued_on_a_face(t1, rng.choice(faces(t1)), t2, rng.choice(faces(t2))))
+    for g in glued:
+        sample += [g, mirror(relabel(g, random_permutation(rng, g.n)))]
+    # the least code of a glued antiprism pair starts only at chord root edges
+    assert all(is_chord_root_edge(g, u, v) for g in glued[:3]
+               for u, v in root_edges_of_least_code(g))
+    for t in sample:
+        assert _min_code(t.rot) == reference_min_code(t.rot)
+
+
+def test_triangulation_from_code_matches_symbol_decoder(code_levels_to_11):
+    for n, level in code_levels_to_11.items():
+        if n <= 10:
+            for code in level:
+                assert triangulation_from_code(code) == reference_triangulation_from_code(code)
+
+
+@pytest.mark.parametrize("code, message", [
+    (bytes([2, 3, 4, 0, 0, 1, 3, 0]), "empty rotation block in code"),
+    (bytes([0]), "empty rotation block in code"),
+    (bytes([2, 3, 4, 0, 1, 3]), "unterminated rotation block in code"),
+])
+def test_triangulation_from_code_rejects_bad_blocks(code, message):
+    with pytest.raises(ValueError, match=message):
+        triangulation_from_code(code)
+    with pytest.raises(ValueError, match=message):
+        reference_triangulation_from_code(code)
 
 
 def test_underlying_graph():
