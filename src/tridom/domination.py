@@ -3,9 +3,9 @@
 Three routes to the connected domination number are provided:
 
 * ``subset_gamma_c`` - subset search, the census route (``classify`` calls
-  it directly): iterative deepening over connected vertex sets, with
-  admissible pruning (coverage potential, distance reachability and a
-  2-packing of the vertices left undominated);
+  it directly): direct scans for sizes 1 to 3, then iterative deepening
+  over connected vertex sets, with admissible pruning (coverage potential,
+  distance reachability and a 2-packing of the vertices left undominated);
 * ``frontier_gamma_c`` - a dynamic program over the label order's frontier,
   for thin graphs such as the extremal constructions (a path-decomposition
   DP with connectivity states, after Bodlaender, Cygan, Kratsch and
@@ -66,6 +66,18 @@ neighborhoods need distinct dominators, and the internal path of a
 connected dominating set spans the graph within one step of every vertex.
 The per-graph tables (closed neighborhoods, distance balls, Delta) are built
 once and shared by every deepening level.
+
+Sizes 1 to 3 are answered by scans, without the search or its tables.  As
+no prune cuts a feasible branch, the search's hit at k = gamma_c is the
+first dominating set of size k in the unpruned preorder of
+``enumerate_connected_sets``, which grows a set from its least vertex r
+through the neighbours b > r in ascending order, forbidding each b once its
+subtree is done.  ``_small_cds`` visits each size in that preorder: the
+least universal vertex; the least edge r < b with N[r] | N[b] = V; the
+first {r, b, c} by r, then b, then c in N(r) | N(b) above r, less b and the
+neighbours of r below b.  The tables are built, and the search deepened
+from max(4, its lower bound), only when all three scans fail: for 5 of the
+9,149 classes of orders 5..12.
 
 ``exact_gamma`` is one search for the domination number and its witness.
 From the 2-packing bound up, it visits the vertex sets of each size in
@@ -252,11 +264,14 @@ def _gamma_c_search(g: Graph, k: int, adjn: List[int], balls: List[List[int]],
     return found
 
 
-def _cds_tables(g: Graph) -> Tuple[List[int], int, List[List[int]], int, int]:
-    """Closed neighborhoods, Delta, distance balls, radius cap and the deepening start."""
+def _require_cds_input(g: Graph) -> None:
     _require_connected(g)
     if g.n < 2:
         raise ValueError("connected domination needs at least two vertices")
+
+
+def _cds_tables(g: Graph) -> Tuple[List[int], int, List[List[int]], int, int]:
+    """Closed neighborhoods, Delta, distance balls, radius cap and the deepening start."""
     adjn = _closed(g)
     _, dmax, _ = degree_stats(g)
     balls, rmax = _distance_balls(g, adjn)
@@ -265,22 +280,67 @@ def _cds_tables(g: Graph) -> Tuple[List[int], int, List[List[int]], int, int]:
     return adjn, dmax, balls, rmax, k0
 
 
-def _minimum_cds(g: Graph, collect_all: bool, tables: Optional[tuple] = None) -> List[int]:
-    """Deepen from the lower bound to the first size with a connected dominating set.
+def _minimum_cds(g: Graph, collect_all: bool, tables: tuple, k_min: int = 1) -> List[int]:
+    """Deepen from max(k_min, lower bound) to the first size with a connected dominating set.
 
     Returns the first such set found, or with collect_all every one of that size.
     """
-    adjn, dmax, balls, rmax, k0 = tables or _cds_tables(g)
-    for k in range(k0, g.n + 1):
+    adjn, dmax, balls, rmax, k0 = tables
+    for k in range(max(k_min, k0), g.n + 1):
         hits = _gamma_c_search(g, k, adjn, balls, rmax, dmax, collect_all)
         if hits:
             return hits
     raise AssertionError("connected graph always has a connected dominating set")
 
 
+def _dominators(cand: int, missed: int, adjn: List[int]) -> int:
+    """The vertices of cand whose closed neighborhood holds every vertex of missed."""
+    while missed and cand:
+        lo = missed & -missed
+        cand &= adjn[lo.bit_length() - 1]
+        missed ^= lo
+    return cand
+
+
+def _small_cds(g: Graph) -> int:
+    """The search's first connected dominating set if gamma_c <= 3, else 0.
+
+    A triple {r, b, c} skips c among the neighbours of r below b: that set
+    came under an earlier b.  A c completes it iff N[c] holds every vertex
+    that N[r] | N[b] misses.
+    """
+    full = g.full
+    adj = g.adj
+    adjn = _closed(g)
+    if full in adjn:
+        return 1 << adjn.index(full)
+    for r in range(g.n):
+        cand = _dominators(adj[r] & -(2 << r), full & ~adjn[r], adjn)
+        if cand:
+            return 1 << r | cand & -cand
+    for r in range(g.n):
+        above = -(2 << r)
+        later = adj[r] & above
+        while later:
+            bb = later & -later
+            later ^= bb
+            b = bb.bit_length() - 1
+            cand = _dominators(later | adj[b] & above & ~adj[r], full & ~(adjn[r] | adjn[b]), adjn)
+            if cand:
+                return 1 << r | bb | cand & -cand
+    return 0
+
+
 def subset_gamma_c(g: Graph) -> DominationCertificate:
-    """Minimum connected dominating set by deepening subset search."""
-    s = _minimum_cds(g, collect_all=False)[0]
+    """Minimum connected dominating set by deepening subset search.
+
+    Sizes 1, 2 and 3 are scanned over the adjacency masks in the order the
+    search visits them, so each scan returns the search's first hit (module
+    docstring).  Only when all three fail are the search tables built and
+    the search deepened from max(4, its lower bound).
+    """
+    _require_cds_input(g)
+    s = _small_cds(g) or _minimum_cds(g, False, _cds_tables(g), k_min=4)[0]
     return DominationCertificate(s.bit_count(), s, METHOD_SUBSET)
 
 
@@ -303,10 +363,8 @@ def frontier_gamma_c(g: Graph) -> DominationCertificate:
     a component label >= 2 for a vertex in S, numbered by first appearance.
     It keeps the least (|S|, S), packed as |S| << n | S.
     """
-    _require_connected(g)
+    _require_cds_input(g)
     n = g.n
-    if n < 2:
-        raise ValueError("connected domination needs at least two vertices")
     if _frontier_width(g) > FRONTIER_MAX:
         raise ValueError(f"the frontier DP takes label-order frontiers of at most"
                          f" {FRONTIER_MAX} vertices")
@@ -372,6 +430,7 @@ def exact_gamma_c(g: Graph) -> DominationCertificate:
     The frontier DP runs iff 3**w < comb(n, k0), w the label order's frontier
     width and k0 the subset search's first size; otherwise subset search.
     """
+    _require_cds_input(g)
     tables = _cds_tables(g)
     if 3 ** _frontier_width(g) < comb(g.n, tables[-1]):
         return frontier_gamma_c(g)
@@ -381,7 +440,8 @@ def exact_gamma_c(g: Graph) -> DominationCertificate:
 
 def all_minimum_cds(g: Graph) -> List[int]:
     """Every minimum connected dominating set, sorted by vertex tuple."""
-    return sorted(_minimum_cds(g, collect_all=True), key=lambda m: tuple(bits(m)))
+    _require_cds_input(g)
+    return sorted(_minimum_cds(g, True, _cds_tables(g)), key=lambda m: tuple(bits(m)))
 
 
 def bfs_tree_cds(g: Graph) -> DominationCertificate:
@@ -514,9 +574,7 @@ def gamma_c_by_contraction(g: Graph) -> DominationCertificate:
     a universal vertex; the first success gives value k+1 and the spanned
     vertex set as witness (the universal vertex itself for k = 0).
     """
-    _require_connected(g)
-    if g.n < 2:
-        raise ValueError("connected domination needs at least two vertices")
+    _require_cds_input(g)
     for k in range(g.n):
         w = contraction_search(g, k)
         if w is not None:
@@ -534,10 +592,13 @@ def classify(t: Triangulation) -> DominationCertificate:
 
     Max degree n-1 forces value 1 and n-2 forces value 2 (with an explicit
     two-vertex witness); everything else goes through subset search
-    (``subset_gamma_c``), never the frontier DP.  The contraction route is
-    not used here; it stays as the independent verifier.  The method field
-    records which path produced the answer.  Every witness is checked
-    (size, domination, connectivity) before it is returned.
+    (``subset_gamma_c``), never the frontier DP.  That scans for gamma_c 2
+    and 3 and builds search tables only for gamma_c >= 4 (153 of the 49,566
+    classes of order 13), with the witness the search would give.  The
+    contraction route is not used here; it stays as the independent
+    verifier.  The method field records which path produced the answer.
+    Every witness is checked (size, domination, connectivity) before it is
+    returned.
     """
     g = underlying_graph(t)
     n = g.n

@@ -69,7 +69,7 @@ class Triangulation:
 
     def __init__(self, n: int, rot: Sequence[Sequence[int]]):
         self.n = n
-        self.rot = tuple(tuple(r) for r in rot)
+        self.rot = tuple(map(tuple, rot))
 
     def degree(self, v: int) -> int:
         return len(self.rot[v])

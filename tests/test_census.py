@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 import time
@@ -41,6 +42,19 @@ def test_census_counts_small(census_default):
     assert by_n[10].counts_by_gamma_c == {1: 27, 2: 193, 3: 13}
     assert by_n[11].counts_by_gamma_c == {1: 82, 2: 995, 3: 172}
     assert [by_n[n].total for n in range(5, 12)] == [1, 2, 5, 14, 50, 233, 1249]
+
+
+# sha256 over one line "n code-hex witness-mask method Delta" per census record
+# of orders 5..11, in record order
+CERTIFICATES_5_11 = "feb5fc42a6dd021724094ac4961b4a039474381dfb014cc1220fe35b733bf29d"
+
+
+def test_census_certificates_are_pinned(census_default):
+    """Codes, witnesses, methods and Delta of every record of orders 5..11."""
+    _, records = census_default
+    lines = "".join(f"{r.n} {r.code.hex()} {r.gamma_c_witness} {r.method} {r.Delta}\n"
+                    for r in records)
+    assert hashlib.sha256(lines.encode()).hexdigest() == CERTIFICATES_5_11
 
 
 def test_compare_reference_clean_rows():

@@ -16,6 +16,7 @@ from tridom.generate import (
     triangulations,
 )
 from tridom.planar import (
+    Triangulation,
     canonical_code,
     faces,
     mirror,
@@ -112,6 +113,27 @@ def test_expand_collapse_deg5_round_trip():
         back = collapse_deg5(child, child.n - 1, a)
         assert verify_triangulation(back).ok
         assert canonical_code(back) == base
+
+
+def _has_tuple_rows(t):
+    return type(t.rot) is tuple and all(type(r) is tuple for r in t.rot)
+
+
+def test_rotations_are_stored_as_tuple_rows(levels_to_9):
+    """The constructor turns list or bytes rows into tuples of ints, and the
+    move builders' children hold tuple rows too."""
+    lists = [list(r) for r in K4.rot]
+    for rows in (lists, [bytes(r) for r in K4.rot], tuple(lists)):
+        t = Triangulation(4, rows)
+        assert _has_tuple_rows(t) and t == K4 and hash(t) == hash(K4)
+    lists[0].reverse()
+    assert t.rot == K4.rot  # the stored rows are copies
+    children = [c for t in levels_to_9[7] for c in successors(t)]
+    oc, ico = octahedron(), icosahedron()
+    children += [expand_deg3(K4, faces(K4)[0]), expand_deg4(oc, oc.edges()[0]),
+                 expand_deg5(ico, 0, ico.rot[0][0])]
+    children.append(collapse_deg5(children[-1], ico.n, 0))
+    assert all(_has_tuple_rows(c) for c in children)
 
 
 def test_successors_emit_valid_children(levels_to_9):

@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tridom import domination
 from tridom.domination import (
@@ -30,7 +31,7 @@ from tridom.graphs import (
     is_dominating,
     vset,
 )
-from tridom.planar import underlying_graph
+from tridom.planar import Triangulation, underlying_graph
 from tridom.families import family, icosa_chain, icosahedron, octahedron
 
 from helpers import (
@@ -369,18 +370,76 @@ def test_classify_unique_order9_value3(levels_to_9):
     assert contraction_search(g, 2) is not None
 
 
+def _reference_certificate(g):
+    want = reference_minimum_cds(g)[0]
+    return DominationCertificate(want.bit_count(), want, METHOD_SUBSET)
+
+
 def test_exact_gamma_c_certificates_match_reference_search(levels_to_11):
-    """The pruned search returns the very witness the search with only its
-    coverage and distance prunes returns, and all_minimum_cds the same list."""
+    """subset_gamma_c (scans up to size 3, the pruned search above) returns
+    the very witness the search with only its coverage and distance prunes
+    returns, and all_minimum_cds the same list.  The random graphs meet every
+    gamma_c bucket and include non-planar ones."""
     graphs = [underlying_graph(t) for n in range(5, 11) for t in levels_to_11[n]]
     rng = random.Random(37)
-    graphs += [random_connected_graph(rng, rng.randint(2, 12), 0.3) for _ in range(30)]
+    graphs += [random_connected_graph(rng, rng.randint(2, 13), rng.choice((0.15, 0.3, 0.5, 0.8)))
+               for _ in range(200)]
+    buckets = {1: 0, 2: 0, 3: 0, 4: 0}
     for g in graphs:
-        want = reference_minimum_cds(g)[0]
-        assert subset_gamma_c(g) == DominationCertificate(want.bit_count(), want, METHOD_SUBSET)
+        cert = subset_gamma_c(g)
+        assert cert == _reference_certificate(g)
+        buckets[min(cert.value, 4)] += 1
+    assert all(buckets.values()), buckets
+    assert any(g.edge_count() > 3 * g.n - 6 for g in graphs if g.n >= 3)  # non-planar
     for t in levels_to_11[8]:
         g = underlying_graph(t)
         assert all_minimum_cds(g) == reference_minimum_cds(g, collect_all=True)
+
+
+@st.composite
+def connected_graphs(draw, max_n=12):
+    """A random spanning tree on 2..max_n vertices plus random extra edges."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {(u, v) for u, v in draw(st.lists(pairs, max_size=3 * n)) if u != v}
+    return Graph.from_edges(n, edges)
+
+
+@given(connected_graphs())
+def test_subset_gamma_c_matches_the_reference_search_property(g):
+    assert subset_gamma_c(g) == _reference_certificate(g)
+
+
+def test_subset_gamma_c_checks_its_input_before_scanning():
+    """A one-vertex graph would pass the size-1 scan; it is refused first, and
+    disconnected input keeps its message on both entry points."""
+    disconnected = "graph is disconnected; graphs with more than one component"
+    for g in (Graph(4, [0b10, 0b1, 0b1000, 0b100]), Graph(2, [0, 0])):
+        with pytest.raises(ValueError, match=disconnected):
+            subset_gamma_c(g)
+    with pytest.raises(ValueError, match="connected domination needs at least two vertices"):
+        subset_gamma_c(Graph(1, [0]))
+    two_triangles = Triangulation(6, ((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)))
+    with pytest.raises(ValueError, match=disconnected):
+        classify(two_triangles)
+
+
+def test_search_tables_are_built_only_from_gamma_c_4(monkeypatch, levels_to_11):
+    """Every class of orders 5..10 has gamma_c <= 3 and is classified with no
+    distance ball and no enumeration; the icosahedron (gamma_c = 4) needs both."""
+    calls = []
+    for name in ("_distance_balls", "enumerate_connected_sets"):
+        def counted(*args, _fn=getattr(domination, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(domination, name, counted)
+    for n in range(5, 11):
+        for t in levels_to_11[n]:
+            assert classify(t).value <= 3
+    assert calls == []
+    assert classify(icosahedron()).value == 4
+    assert sorted(set(calls)) == ["_distance_balls", "enumerate_connected_sets"]
 
 
 def test_packing_prune_cuts_the_chain_search(monkeypatch):
