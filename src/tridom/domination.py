@@ -602,6 +602,8 @@ def classify(t: Triangulation) -> DominationCertificate:
     """
     g = underlying_graph(t)
     n = g.n
+    if n < 2:
+        raise ValueError("connected domination needs at least two vertices")
     _, dmax, vmax = degree_stats(g)
     if dmax == n - 1:
         cert = DominationCertificate(1, 1 << vmax, METHOD_DELTA)

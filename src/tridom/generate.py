@@ -25,7 +25,7 @@ tuple of neighbour degrees; if several share the largest tuple, the one the
 canonical labelling numbers first.  Both depend only on the isomorphism
 class, so the vertex is fixed up to automorphism.  A child is kept iff its
 new vertex v = n - 1 is in the orbit of that vertex.  The tuples decide
-first, so a child some other vertex outranks is dropped without being coded;
+first, so a child some other vertex outranks is dropped without being built;
 only children where v ties with other vertices are decided by the labelling,
 from the same coding that gives their code (``_accepted_code``).
 
@@ -33,15 +33,21 @@ No class is lost.  Take a class of order n+1 and delete its canonical
 reduction u: the rest is isomorphic to a class P of the previous level, and
 the isomorphism carries the inverted move to a site of P.  Expanding that
 site gives a child isomorphic to the class whose new vertex is the image of
-u; it has the minimum degree, so ``successors`` yields it, and it is in the
-orbit of the canonical reduction, so it is kept.  The kept codes still go
-through a set: two sites of one parent exchanged by an automorphism of the
-parent give the same class, and so does a vertex of degree 4 or 5 with more
-than one way to be deleted (two diagonals, or several free apices).
+u; it has the minimum degree, so ``successors`` screens it in, and it is in
+the orbit of the canonical reduction, so it is kept.
 
-``successors`` builds only the children whose new vertex has the child's
-minimum degree, read off the parent's degrees before the child is built: a
-move changes only the degrees of the vertices around its site.
+Each child is decided on its parent, before it is built.  A move changes
+only the degrees and neighbour lists around its site, so ``successors``
+ranks the new vertex on the parent and builds only the moves that pass.  It
+also expands one site per orbit of the parent's automorphism group: an
+automorphism carries a site to one whose child is isomorphic, new vertex to
+new vertex, so both give the same decision and code.  The group comes free
+from coding: the label arrays that ``_min_code`` returns for the first child
+that reaches a class differ by its automorphisms.  Deleting two vertices of
+one orbit gives sites that an automorphism of the parent exchanges, so the
+kept codes, which still go through a set, repeat only where one vertex of
+degree 4 or 5 has several deletions (two diagonals, or several free apices)
+into different parents or different orbits of sites.
 
 Moves that would break simplicity are skipped silently during enumeration
 but raise when one of the expansion functions is called directly.
@@ -49,10 +55,9 @@ but raise when one of the expansion functions is called directly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .planar import (Face, Triangulation, _min_code, canonical_code, faces, is_face,
-                     triangulation_from_code)
+from .planar import Face, Triangulation, _min_code, is_face, triangulation_from_code
 
 MIN_ORDER = 4
 MAX_ORDER = 14
@@ -177,72 +182,100 @@ def collapse_deg5(t: Triangulation, v: int, apex: int) -> Triangulation:
     return Triangulation(t.n - 1, rot)
 
 
-def successors(t: Triangulation) -> Iterator[Triangulation]:
-    """Children of t whose new vertex has the child's minimum degree.
+def successors(t: Triangulation, auts: Sequence[Sequence[int]] = ()
+               ) -> Iterator[Tuple[Triangulation, List[int]]]:
+    """The children of t whose new vertex may be the canonical reduction,
+    as (child, ties), one site per orbit of the automorphisms auts.
 
-    A degree-3 child always passes.  A degree-4 child across edge (a, b)
-    raises only its opposite vertices c, d, so it passes iff every degree-3
-    vertex of t is c or d.  A degree-5 child at apex a over x1..x4 lowers a
-    by one and raises x1 and x4 by one, so it passes iff deg(a) >= 6 and
-    every vertex of degree <= 4 is x1 or x4 and has degree 4.
+    A child passes if its new vertex has the child's minimum degree and no
+    other vertex of that degree ranks above it (``_rank``).  A degree-3
+    child always has it; a degree-4 child across edge (a, b) raises the
+    opposite vertices c and d, so it has it iff every degree-3 vertex of t
+    is c or d; a degree-5 child at apex a over x1..x4 lowers a and raises x1
+    and x4, so it has it iff t has no degree-3 vertex, deg(a) >= 6 and every
+    degree-4 vertex is x1 or x4.  Children come face by face in the order of
+    ``faces``, then edge by edge in that of ``t.edges()``, then fan by fan.
+
+    A site is skipped if some s in auts (vertex x to s[x]) maps it to a
+    smaller key.  Keys ignore orientation, so reflections may be in auts: a
+    face is its sorted triple, an edge its sorted pair, a fan its apex and
+    the sorted pair x2, x3 whose edges to the apex it removes.
     """
-    deg = [len(r) for r in t.rot]
-    for f in faces(t):
-        yield _insert_deg3(t, f)
-    deg3 = {v for v in range(t.n) if deg[v] == 3}
-    if len(deg3) <= 2:
-        for e in t.edges():
-            c, d = opposite_vertices(t, e)
-            if c != d and deg3 <= {c, d}:
-                yield expand_deg4(t, e)
-    low = {v for v in range(t.n) if deg[v] <= 4}
-    if len(low) <= 2 and not deg3:
-        for a in range(t.n):
-            ra = t.rot[a]
-            da = deg[a]
-            if da >= 6:
-                for i, x1 in enumerate(ra):
-                    if low <= {x1, ra[(i + 3) % da]}:
-                        yield expand_deg5(t, a, x1)
-
-
-def levels(n_max: int) -> Iterator[Tuple[int, Dict[bytes, Triangulation]]]:
-    """Yield (order, level) level by level from K4 up to n_max.
-
-    A level maps the canonical code of each class to its canonical form
-    (``triangulation_from_code`` of the code), in code order, so the output
-    is independent of expansion order.  Only the children that the canonical
-    construction path does not reject by the invariant are coded, each once.
-    The next level is expanded from the yielded one, so callers must not
-    change it.
-    """
-    if not MIN_ORDER <= n_max <= MAX_ORDER:
-        raise ValueError(f"order must be in {MIN_ORDER}..{MAX_ORDER}, got {n_max}")
-    level = level_from_codes([canonical_code(K4)])
-    yield 4, level
-    for n in range(5, n_max + 1):
-        level = level_from_codes({code for parent in level.values() for child in successors(parent)
-                                  if (code := _accepted_code(child)) is not None})
-        yield n, level
-
-
-def _screen(child: Triangulation) -> Optional[List[int]]:
-    """Rank the new vertex v = n - 1 against the other minimum-degree vertices
-    by their sorted neighbour degrees.
-
-    None if one of them ranks above v, so that v is not the canonical
-    reduction; otherwise those that tie with v (an empty list when v alone
-    ranks highest).  Expects v to have the child's minimum degree.
-    """
-    rot = child.rot
-    v = child.n - 1
+    rot = t.rot
+    v = t.n
     deg = [len(r) for r in rot]
+    deg3 = [u for u in range(v) if deg[u] == 3]
+    # faces(t), t.edges() and opposite_vertices, read off the rotations: at
+    # a, neighbours r[i - 1], r[i] bound face (a, r[i], r[i - 1])
+    for f in sorted((a, r[i], r[i - 1]) for a, r in enumerate(rot)
+                    for i in range(len(r)) if a < r[i] and a < r[i - 1]):
+        a, b, c = f
+        if auts and any(sorted((s[a], s[b], s[c])) < sorted(f) for s in auts):
+            continue
+        ties = _rank(rot, deg, deg3, {v: (a, c, b)}, f)
+        if ties is not None:
+            yield _insert_deg3(t, f), ties
+    if len(deg3) <= 2:
+        near = [u for u in range(v) if deg[u] <= 4]
+        for a, ra in enumerate(rot):
+            for i, b in enumerate(ra):
+                c, d = ra[i - 1], ra[(i + 1) % len(ra)]
+                if b < a or not {c, d}.issuperset(deg3):
+                    continue
+                if auts and any((min(s[a], s[b]), max(s[a], s[b])) < (a, b) for s in auts):
+                    continue
+                ties = _rank(rot, deg, near, {v: (a, c, b, d), a: _replace(ra, b, v),
+                                              b: _replace(rot[b], a, v), c: rot[c] + (v,),
+                                              d: rot[d] + (v,)}, (c, d))
+                if ties is not None:
+                    yield expand_deg4(t, (a, b)), ties
+    low = {u for u in range(v) if deg[u] <= 4}
+    if len(low) <= 2 and not deg3:
+        near = [u for u in range(v) if deg[u] <= 6]
+        for a, ra in enumerate(rot):
+            da = deg[a]
+            if da < 6:
+                continue
+            for i, x1 in enumerate(ra):
+                x2, x3, x4 = ra[(i + 1) % da], ra[(i + 2) % da], ra[(i + 3) % da]
+                if not low <= {x1, x4}:
+                    continue
+                if auts and any((s[a], min(s[x2], s[x3]), max(s[x2], s[x3]))
+                                < (a, min(x2, x3), max(x2, x3)) for s in auts):
+                    continue
+                ties = _rank(rot, deg, near, {v: (a, x1, x2, x3, x4),
+                                              a: tuple(u for u in ra if u != x2 and u != x3) + (v,),
+                                              x1: rot[x1] + (v,), x2: _replace(rot[x2], a, v),
+                                              x3: _replace(rot[x3], a, v), x4: rot[x4] + (v,)},
+                             (x1, x4), a)
+                if ties is not None:
+                    yield expand_deg5(t, a, x1), ties
+
+
+def _rank(rot, deg: List[int], near: List[int], moved: Dict[int, Tuple[int, ...]],
+          raised: Tuple[int, ...], lowered: Optional[int] = None) -> Optional[List[int]]:
+    """Rank the new vertex v = n against the child's other vertices of its
+    degree by their sorted neighbour degrees, without building the child.
+
+    deg and rot are the parent's, and near, in increasing order, holds every
+    vertex that may have v's degree in the child.  The move raises the
+    degrees of raised, lowers that of lowered, and gives v and the site
+    vertices the neighbour lists in moved.  None if a vertex ranks above v,
+    so that v is not the canonical reduction; otherwise those that tie with
+    v, in increasing order (an empty list when v alone ranks highest).
+    """
+    v = len(deg)
+    deg = deg + [len(moved[v])]
+    for x in raised:
+        deg[x] += 1
+    if lowered is not None:
+        deg[lowered] -= 1
     d = deg[v]
-    key = sorted([deg[x] for x in rot[v]])
+    key = sorted([deg[x] for x in moved[v]])
     ties = []
-    for u in range(v):
+    for u in near:
         if deg[u] == d:
-            k = sorted([deg[x] for x in rot[u]])
+            k = sorted([deg[x] for x in moved.get(u, rot[u])])
             if k > key:
                 return None
             if k == key:
@@ -250,26 +283,68 @@ def _screen(child: Triangulation) -> Optional[List[int]]:
     return ties
 
 
-def _accepted_code(child: Triangulation) -> Optional[bytes]:
-    """The child's canonical code if its new vertex lies in the orbit of the
-    canonical reduction, else None.
+def _automorphisms(labels: List[List[int]]) -> Tuple[List[int], ...]:
+    """The non-identity automorphisms of a canonical form, from the label
+    arrays of a coding that reaches its code: vertex labels[0][x] - 1 maps
+    to label[x] - 1."""
+    first = labels[0]
+    auts = []
+    for label in labels[1:]:
+        s = [0] * len(first)
+        for x, y in zip(first, label):
+            s[x - 1] = y - 1
+        auts.append(s)
+    return tuple(auts)
 
-    Among tied vertices the canonical reduction is the one that the canonical
-    labelling numbers first.  Every labelling that reaches the canonical code
-    gives the tied vertices the same set of labels, so v lies in the orbit of
-    the canonical reduction iff one of them gives v the least of those labels.
+
+def levels(n_max: int) -> Iterator[Tuple[int, Dict[bytes, Triangulation]]]:
+    """Yield (order, level) level by level from K4 up to n_max.
+
+    A level maps the canonical code of each class to its canonical form
+    (``triangulation_from_code`` of the code), in code order, so the output
+    is independent of expansion order.  Only the children that
+    ``successors`` screens in are built and coded, each once; the
+    automorphisms of the level being expanded come from those codings.  The
+    next level is expanded from the yielded one, so callers must not change
+    it.
     """
-    ties = _screen(child)
-    if ties is None:
-        return None
-    if not ties:
-        return canonical_code(child)
+    if not MIN_ORDER <= n_max <= MAX_ORDER:
+        raise ValueError(f"order must be in {MIN_ORDER}..{MAX_ORDER}, got {n_max}")
+    code, labels = _min_code(K4.rot)
+    groups = {bytes(code): _automorphisms(labels)}
+    level = level_from_codes(groups)
+    yield 4, level
+    for n in range(5, n_max + 1):
+        found: Dict[bytes, Tuple[List[int], ...]] = {}
+        for code, parent in level.items():
+            for child, ties in successors(parent, groups.get(code, ())):
+                coded = _accepted_code(child, ties)
+                if coded is not None and coded[0] not in found:
+                    found[coded[0]] = _automorphisms(coded[1])
+        level = level_from_codes(found)
+        groups = {code: auts for code, auts in found.items() if auts}
+        yield n, level
+
+
+def _accepted_code(child: Triangulation, ties: List[int]
+                   ) -> Optional[Tuple[bytes, List[List[int]]]]:
+    """The child's canonical code and the label arrays of its coding, if its
+    new vertex v lies in the orbit of the canonical reduction, else None.
+
+    ties are the other vertices that rank with v (see ``successors``).
+    Among tied vertices the canonical reduction is the one that the
+    canonical labelling numbers first.  Every labelling that reaches the
+    canonical code gives the tied vertices the same set of labels, so v lies
+    in the orbit of the canonical reduction iff one of them gives v the
+    least of those labels.
+    """
     code, labels = _min_code(child.rot)
-    v = child.n - 1
-    least = min(labels[0][u] for u in ties + [v])
-    if any(label[v] == least for label in labels):
-        return bytes(code)
-    return None
+    if ties:
+        v = child.n - 1
+        least = min(labels[0][u] for u in ties + [v])
+        if not any(label[v] == least for label in labels):
+            return None
+    return bytes(code), labels
 
 
 def level_from_codes(codes: Iterable[bytes]) -> Dict[bytes, Triangulation]:

@@ -5,13 +5,15 @@ triangulations are re-enumerated by gluing directed triangles into closed
 surfaces, domination numbers are recomputed by raw subset enumeration, and
 connected sets by powerset filtering.  Agreement between these oracles and
 the fast paths is what the tests assert.  ``reference_minimum_cds``,
-``reference_gamma``, ``reference_min_code`` and
-``reference_triangulation_from_code`` are different: they keep earlier
-forms of production code (the connected-domination search with only its
-coverage and distance prunes, the two-phase domination search, the coding
-kernel that tries every root edge, and the symbol-by-symbol decoder), to
-pin the exact certificates, codes and label arrays that the production
-code emits as it changes.
+``reference_gamma``, ``reference_min_code``,
+``reference_triangulation_from_code``, ``reference_successors`` and
+``reference_screen`` are different: they keep earlier forms of production
+code (the connected-domination search with only its coverage and distance
+prunes, the two-phase domination search, the coding kernel that tries every
+root edge, the symbol-by-symbol decoder, and generation that builds every
+minimum-degree child before ranking its new vertex), to pin the exact
+certificates, codes, label arrays and screened children that the
+production code emits as it changes.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from tridom import generate, planar
+from tridom.families import icosahedron
 from tridom.census import REFERENCE_CENSUS
 from tridom.graphs import (
     PRUNE,
@@ -187,14 +190,95 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
             return g
 
 
-def all_children(t: Triangulation) -> List[Triangulation]:
-    """Every child of t under the three moves, with no minimum-degree filter:
-    each face, then each edge with distinct opposite vertices, then each fan
-    at an apex of degree >= 5."""
-    kids = [expand_deg3(t, f) for f in faces(t)]
-    kids += [expand_deg4(t, e) for e in t.edges() if len(set(opposite_vertices(t, e))) == 2]
-    kids += [expand_deg5(t, a, x1) for a in range(t.n) if len(t.rot[a]) >= 5 for x1 in t.rot[a]]
+def all_sites(t: Triangulation) -> List[Tuple[Tuple[int, ...], Triangulation]]:
+    """Every child of t under the three moves, with no minimum-degree filter,
+    each after the key of its site, which starts with the new vertex's
+    degree: each face (3, then its sorted triple), then each edge with
+    distinct opposite vertices (4, then its sorted pair), then each fan at an
+    apex of degree >= 5 (5, the apex, then the sorted pair of its two middle
+    neighbours, whose edges to the apex the move removes)."""
+    kids = [((3, *sorted(f)), expand_deg3(t, f)) for f in faces(t)]
+    kids += [((4, *e), expand_deg4(t, e)) for e in t.edges()
+             if len(set(opposite_vertices(t, e))) == 2]
+    for a in range(t.n):
+        ra = t.rot[a]
+        if len(ra) >= 5:
+            for i, x1 in enumerate(ra):
+                middle = sorted((ra[(i + 1) % len(ra)], ra[(i + 2) % len(ra)]))
+                kids.append(((5, a, *middle), expand_deg5(t, a, x1)))
     return kids
+
+
+def all_children(t: Triangulation) -> List[Triangulation]:
+    """Every child of t under the three moves, in the order of ``all_sites``."""
+    return [child for _, child in all_sites(t)]
+
+
+def reference_successors(t: Triangulation) -> Iterator[Triangulation]:
+    """Children of t whose new vertex has the child's minimum degree, built
+    before they are screened: an earlier form of ``generate.successors``.
+
+    A degree-3 child always passes.  A degree-4 child across edge (a, b)
+    raises only its opposite vertices c, d, so it passes iff every degree-3
+    vertex of t is c or d.  A degree-5 child at apex a over x1..x4 lowers a
+    by one and raises x1 and x4 by one, so it passes iff deg(a) >= 6 and
+    every vertex of degree <= 4 is x1 or x4 and has degree 4.
+    """
+    deg = [len(r) for r in t.rot]
+    for f in faces(t):
+        yield expand_deg3(t, f)
+    deg3 = {v for v in range(t.n) if deg[v] == 3}
+    if len(deg3) <= 2:
+        for e in t.edges():
+            c, d = opposite_vertices(t, e)
+            if c != d and deg3 <= {c, d}:
+                yield expand_deg4(t, e)
+    low = {v for v in range(t.n) if deg[v] <= 4}
+    if len(low) <= 2 and not deg3:
+        for a in range(t.n):
+            ra = t.rot[a]
+            da = deg[a]
+            if da >= 6:
+                for i, x1 in enumerate(ra):
+                    if low <= {x1, ra[(i + 3) % da]}:
+                        yield expand_deg5(t, a, x1)
+
+
+def reference_screen(child: Triangulation) -> Optional[List[int]]:
+    """Rank the new vertex v = n - 1 against the other minimum-degree vertices
+    by their sorted neighbour degrees, on the built child: an earlier form
+    of the screen in ``generate.successors``.
+
+    None if one of them ranks above v, so that v is not the canonical
+    reduction; otherwise those that tie with v (an empty list when v alone
+    ranks highest).  Expects v to have the child's minimum degree.
+    """
+    rot = child.rot
+    v = child.n - 1
+    deg = [len(r) for r in rot]
+    d = deg[v]
+    key = sorted([deg[x] for x in rot[v]])
+    ties = []
+    for u in range(v):
+        if deg[u] == d:
+            k = sorted([deg[x] for x in rot[u]])
+            if k > key:
+                return None
+            if k == key:
+                ties.append(u)
+    return ties
+
+
+def screened_sites(t: Triangulation) -> List[Tuple[Tuple[int, ...], Triangulation, List[int]]]:
+    """(site key, child, ties) for every child of ``all_sites`` whose new
+    vertex has the child's minimum degree and passes ``reference_screen``."""
+    out = []
+    for key, child in all_sites(t):
+        if len(child.rot[-1]) == min(map(len, child.rot)):
+            ties = reference_screen(child)
+            if ties is not None:
+                out.append((key, child, ties))
+    return out
 
 
 def all_moves_levels(n_max: int, expand: Callable[[Triangulation], Iterable[Triangulation]]
@@ -367,13 +451,28 @@ def random_triangulation(rng: random.Random, n: int) -> Triangulation:
     return t
 
 
-def automorphism_orbit(t: Triangulation, u: int) -> Set[int]:
-    """Images of u under every automorphism of the embedding, reflections
-    included: each directed edge (a, b) of t or of its mirror is tried as the
-    image of the directed edge (0, rot[0][0]), and the map is grown along the
-    rotations and kept if it is a bijection that respects every rotation."""
+def random_fan_parent(rng: random.Random, n: int) -> Triangulation:
+    """Random expansion walk from the icosahedron up to order n through
+    children with no vertex of degree 3 and at most two of degree 4, the
+    parents whose degree-5 moves can give minimum-degree children.  Degree-5
+    insertions are taken while there are any; they spread the degrees."""
+    t = icosahedron()
+    while t.n < n:
+        kids = [c for c in all_children(t)
+                if min(map(len, c.rot)) >= 4 and sum(len(r) == 4 for r in c.rot) <= 2]
+        kids = [c for c in kids if len(c.rot[-1]) == 5] or kids
+        t = kids[rng.randrange(len(kids))]
+    return t
+
+
+def automorphisms(t: Triangulation) -> List[List[int]]:
+    """Every automorphism of the embedding, reflections and the identity
+    included, as vertex maps x -> s[x]: each directed edge (a, b) of t or of
+    its mirror is tried as the image of the directed edge (0, rot[0][0]),
+    and the map is grown along the rotations and kept if it is a bijection
+    that respects every rotation."""
     rot = t.rot
-    out = set()
+    out = []
     for view in (rot, tuple(r[::-1] for r in rot)):
         for a in range(t.n):
             for b in view[a]:
@@ -400,8 +499,21 @@ def automorphism_orbit(t: Triangulation, u: int) -> Set[int]:
                     if not ok:
                         break
                 if ok and len(set(phi.values())) == t.n:
-                    out.add(phi[u])
+                    out.append([phi[x] for x in range(t.n)])
     return out
+
+
+def automorphism_orbit(t: Triangulation, u: int) -> Set[int]:
+    """Images of u under every automorphism of the embedding."""
+    return {s[u] for s in automorphisms(t)}
+
+
+def site_image(s: List[int], key: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The key of the image under s of the site with this ``all_sites`` key."""
+    kind, *rest = key
+    if kind == 5:
+        return (5, s[rest[0]], *sorted(s[x] for x in rest[1:]))
+    return (kind, *sorted(s[x] for x in rest))
 
 
 def random_permutation(rng: random.Random, n: int) -> List[int]:

@@ -21,11 +21,12 @@ from tridom.census import (
     verify_corpus,
 )
 from tridom.domination import exact_gamma_c
-from tridom.generate import _screen, levels, successors, triangulations
+from tridom.generate import levels, triangulations
 from tridom.graphs import bits, induces_connected, is_dominating
 from tridom.planar import mirror, planar_code_write, relabel
 
-from helpers import count_codings
+from helpers import (automorphisms, count_codings, reference_successors, screened_sites,
+                     site_image)
 
 
 def test_census_counts_small(census_default):
@@ -243,14 +244,19 @@ def test_row_time_covers_generation():
 
 def test_census_codes_each_child_once(monkeypatch):
     children = [child for n in range(4, 8) for t in triangulations(n)
-                for child in successors(t)]
-    screened = [child for child in children if _screen(child) is not None]
+                for child in reference_successors(t)]
+    orbits = 0
+    for n in range(4, 8):
+        for t in triangulations(n):
+            group = automorphisms(t)
+            orbits += sum(all(site_image(s, key) >= key for s in group)
+                          for key, _, _ in screened_sites(t))
     calls = count_codings(monkeypatch)
     _, records = census_records(5, 8)
     assert len(records) == 1 + 2 + 5 + 14
-    # K4, then each child of orders 4..7 that the invariant does not reject,
-    # once; the rejected children are never coded
-    assert len(calls) == 1 + len(screened) < 1 + len(children)
+    # K4, then one child of orders 5..8 per orbit of screened sites of each
+    # parent; children the invariant rejects are never coded
+    assert len(calls) == 1 + orbits < 1 + len(children)
 
 
 def test_ingest_codes_each_input_once(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from tridom.generate import (
     K4,
     _accepted_code,
+    _automorphisms,
     collapse_deg5,
     expand_deg3,
     expand_deg4,
@@ -17,7 +18,9 @@ from tridom.generate import (
 )
 from tridom.planar import (
     Triangulation,
+    _min_code,
     canonical_code,
+    canonical_form,
     faces,
     mirror,
     relabel,
@@ -27,8 +30,9 @@ from tridom.planar import (
 from tridom.families import icosahedron, octahedron
 
 from helpers import (all_children, all_moves_levels, assemble_triangulations,
-                     automorphism_orbit, cone_triangulations, count_codings,
-                     random_permutation)
+                     automorphism_orbit, automorphisms, cone_triangulations, count_codings,
+                     random_fan_parent, random_permutation, random_triangulation,
+                     reference_screen, reference_successors, screened_sites, site_image)
 
 KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}
 
@@ -128,7 +132,7 @@ def test_rotations_are_stored_as_tuple_rows(levels_to_9):
         assert _has_tuple_rows(t) and t == K4 and hash(t) == hash(K4)
     lists[0].reverse()
     assert t.rot == K4.rot  # the stored rows are copies
-    children = [c for t in levels_to_9[7] for c in successors(t)]
+    children = [c for t in levels_to_9[7] for c, _ in successors(t)]
     oc, ico = octahedron(), icosahedron()
     children += [expand_deg3(K4, faces(K4)[0]), expand_deg4(oc, oc.edges()[0]),
                  expand_deg5(ico, 0, ico.rot[0][0])]
@@ -138,26 +142,98 @@ def test_rotations_are_stored_as_tuple_rows(levels_to_9):
 
 def test_successors_emit_valid_children(levels_to_9):
     for t in levels_to_9[7]:
-        for child in successors(t):
+        for child, _ in successors(t):
             assert verify_triangulation(child).ok
 
 
 def test_successors_new_vertex_has_minimum_degree(levels_to_9):
     for n in (4, 5, 6, 7, 8):
         for t in levels_to_9[n]:
-            for child in successors(t):
+            for child, _ in successors(t):
                 degrees = [len(r) for r in child.rot]
                 assert degrees[n] == min(degrees)
 
 
-def test_successors_are_the_minimum_degree_children(levels_to_9):
-    """The filter decides from the parent's degrees; it must keep exactly the
-    children that pass when checked after building them."""
-    for t in levels_to_9[8]:
-        kept = [child.rot for child in successors(t)]
-        wanted = [child.rot for child in all_children(t)
-                  if len(child.rot[-1]) == min(map(len, child.rot))]
-        assert kept == wanted
+def _group(t):
+    """The automorphisms of t that its own coding's label arrays give."""
+    return _automorphisms(_min_code(t.rot)[1])
+
+
+def _rows(pairs):
+    return [(child.rot, ties) for child, ties in pairs]
+
+
+def _accepted_codes(pairs):
+    return {coded[0] for child, ties in pairs
+            if (coded := _accepted_code(child, ties)) is not None}
+
+
+def test_successors_are_the_minimum_degree_children(levels_to_11):
+    """successors ranks the new vertex on the parent, before building the
+    child; it must yield exactly the minimum-degree children that pass the
+    screen when it runs on the built child, with the same ties, in the same
+    order.  Checked on every parent of orders 4..10, on random
+    triangulations of orders 14..20, on random parents of orders 13..20 with
+    many degree-5 moves, and on relabelled and mirrored copies.
+    The build-then-screen route of the tests is checked against all_children
+    on the same parents."""
+    rng = random.Random(14)
+    parents = [t for n in range(4, 11) for t in levels_to_11[n]]
+    parents += [random_triangulation(rng, n) for n in range(14, 21) for _ in range(3)]
+    parents += [random_fan_parent(rng, n) for n in range(13, 21) for _ in range(3)]
+    for t in parents[:]:
+        if t.n <= 9 or t.n >= 14 or rng.random() < 0.2:
+            s = relabel(t, random_permutation(rng, t.n))
+            parents += [s, mirror(s)]
+    for t in parents:
+        wanted = [(child.rot, ties) for _, child, ties in screened_sites(t)]
+        assert _rows(successors(t, ())) == wanted
+        built = list(reference_successors(t))
+        assert [c.rot for c in built] == [c.rot for c in all_children(t)
+                                          if len(c.rot[-1]) == min(map(len, c.rot))]
+        assert [(c.rot, ties) for c in built
+                if (ties := reference_screen(c)) is not None] == wanted
+
+
+def test_automorphisms_from_coding_labels(levels_to_11):
+    """The label arrays of one coding give every non-identity automorphism of
+    the canonical form, whatever labelling or reflection was coded: the same
+    group, and so the same orbits, as the independent search of the tests
+    (``automorphism_orbit``), on every class of orders 4..10 and on the
+    icosahedron."""
+    rng = random.Random(7)
+    classes = [t for n in range(4, 11) for t in levels_to_11[n]]
+    classes.append(canonical_form(icosahedron()))
+    for t in classes:
+        group = sorted(map(tuple, automorphisms(t)))
+        identity = tuple(range(t.n))
+        s = relabel(t, random_permutation(rng, t.n))
+        for coded in (t, s, mirror(s)):
+            auts = _group(coded)
+            assert identity not in map(tuple, auts)
+            assert sorted(map(tuple, auts + (list(identity),))) == group
+
+
+def test_successors_expand_one_site_per_orbit(levels_to_11):
+    """With the parent's automorphisms, successors yields, of the screened
+    children, exactly those whose site is the least of its orbit, and they
+    give the same accepted codes as every screened child.  A trivial group,
+    or the identity alone, changes nothing."""
+    pruned = 0
+    for t in [t for n in range(4, 11) for t in levels_to_11[n]]:
+        auts = _group(t)
+        group = automorphisms(t)
+        unpruned = list(successors(t, ()))
+        kept = list(successors(t, auts))
+        assert _rows(kept) == [(child.rot, ties) for key, child, ties in screened_sites(t)
+                               if all(site_image(s, key) >= key for s in group)]
+        assert _rows(successors(t, [list(range(t.n))])) == _rows(unpruned)
+        assert _accepted_codes(kept) == _accepted_codes(unpruned)
+        if auts:
+            pruned += len(unpruned) - len(kept)
+        else:
+            assert _rows(kept) == _rows(unpruned)
+    assert pruned > 0
 
 
 def test_filtered_levels_match_all_moves_levels():
@@ -168,9 +244,10 @@ def test_filtered_levels_match_all_moves_levels():
 
 
 def test_accepted_levels_match_coding_every_child():
-    """Coding only the children the acceptance rule keeps loses no class and
-    changes no level: the verifier codes every child successors yields."""
-    everything = all_moves_levels(11, successors)
+    """Coding only the children the acceptance rule keeps, one site per orbit,
+    loses no class and changes no level: the verifier codes every
+    minimum-degree child, built by the tests' own route."""
+    everything = all_moves_levels(11, reference_successors)
     for n, level in levels(11):
         assert list(level) == sorted(everything[n]), f"order {n}"
 
@@ -190,13 +267,14 @@ LEVEL_DIGESTS = {
 
 def test_level_digests_and_codings_to_12(monkeypatch):
     """Levels 5..12 are pinned byte for byte, and generating them codes K4 and
-    12,056 of the 29,184 children (every canonical code is one _min_code call,
-    through planar or, for ties, generate)."""
+    10,053 children, one per screened site per orbit of its parent's
+    automorphisms, of the 29,184 minimum-degree children (each coding is one
+    _min_code call)."""
     calls = count_codings(monkeypatch)
     digests = {n: hashlib.sha256(b"".join(level)).hexdigest()
                for n, level in levels(12) if n >= 5}
     assert digests == LEVEL_DIGESTS
-    assert len(calls) == 1 + 12_056
+    assert len(calls) == 1 + 10_053
 
 
 def _with_last(t, u):
@@ -213,9 +291,11 @@ def _accepted_vertices(t):
     out = set()
     for u in range(t.n):
         if len(t.rot[u]) == dmin:
-            code = _accepted_code(_with_last(t, u))
-            if code is not None:
-                assert code == canonical_code(t)
+            child = _with_last(t, u)
+            ties = reference_screen(child)
+            coded = None if ties is None else _accepted_code(child, ties)
+            if coded is not None:
+                assert coded[0] == canonical_code(t)
                 out.add(u)
     return out
 

@@ -425,6 +425,18 @@ def test_subset_gamma_c_checks_its_input_before_scanning():
         classify(two_triangles)
 
 
+def test_classify_refuses_fewer_than_two_vertices():
+    """The Δ shortcut would answer 1 for a single vertex; classify refuses it
+    with the message of the other connected-domination entry points."""
+    one = Triangulation(1, ((),))
+    for refuse in (lambda: classify(one), lambda: classify(Triangulation(0, ())),
+                   lambda: subset_gamma_c(underlying_graph(one)),
+                   lambda: exact_gamma_c(underlying_graph(one)),
+                   lambda: gamma_c_by_contraction(underlying_graph(one))):
+        with pytest.raises(ValueError, match="connected domination needs at least two vertices"):
+            refuse()
+
+
 def test_search_tables_are_built_only_from_gamma_c_4(monkeypatch, levels_to_11):
     """Every class of orders 5..10 has gamma_c <= 3 and is classified with no
     distance ball and no enumeration; the icosahedron (gamma_c = 4) needs both."""
