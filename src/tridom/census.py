@@ -15,11 +15,11 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from . import generate
 from .domination import (
+    METHOD_SUBSET,
     DominationCertificate,
     bfs_tree_cds,
     classify,
@@ -114,9 +114,10 @@ class CensusRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "CensusRecord":
         """The record ``to_dict`` wrote, checked first: its code must decode
-        to a triangulation of order n, and its witness must be a connected
-        dominating set of size gamma_c.  Raises ValueError naming the record
-        otherwise."""
+        to a triangulation of order n, its witness must be a connected
+        dominating set of size gamma_c, and gamma_witness, if there is one, a
+        dominating set of size gamma <= gamma_c.  Raises ValueError naming
+        the record otherwise."""
         try:
             code = bytes.fromhex(d["code"])
             t = triangulation_from_code(code)
@@ -130,13 +131,18 @@ class CensusRecord:
             if (witness.bit_count() != d["gamma_c"] or not is_dominating(g, witness)
                     or not induces_connected(g, witness)):
                 raise ValueError("witness is not a connected dominating set of size gamma_c")
+            gamma_cert = None
+            if "gamma" in d:
+                if d["gamma"] > d["gamma_c"]:
+                    raise ValueError(f"gamma {d['gamma']} exceeds gamma_c {d['gamma_c']}")
+                gamma_witness = vset(d["gamma_witness"])
+                if gamma_witness.bit_count() != d["gamma"] or not is_dominating(g, gamma_witness):
+                    raise ValueError("gamma_witness is not a dominating set of size gamma")
+                gamma_cert = DominationCertificate(d["gamma"], gamma_witness, METHOD_SUBSET)
         except ValueError as exc:
             raise ValueError(f"record n={d['n']} code={d['code']}: {exc}") from exc
-        rec = cls(d["n"], code, t.rot, d["gamma_c"], witness, d["method"], d["Delta"])
-        if "gamma" in d:
-            rec._gamma_cert = DominationCertificate(
-                d["gamma"], vset(d["gamma_witness"]), "subset-search")
-        return rec
+        return cls(d["n"], code, t.rot, d["gamma_c"], witness, d["method"], d["Delta"],
+                   gamma_cert)
 
     def __repr__(self) -> str:
         return f"CensusRecord(n={self.n}, gamma_c={self.gamma_c}, Delta={self.Delta})"
@@ -152,6 +158,7 @@ def _classify_level(level: Collection[Triangulation], workers: int):
     payloads = [t.rot for t in level]
     if workers <= 1 or len(level) < 64:
         return [_classify_payload(r) for r in payloads]
+    from multiprocessing import get_context  # only parallel runs pay for the import
     ctx = get_context()
     chunk = max(1, len(payloads) // (workers * 8))
     with ctx.Pool(workers) as pool:

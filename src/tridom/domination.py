@@ -4,8 +4,8 @@ Three routes to the connected domination number are provided:
 
 * ``subset_gamma_c`` - subset search, the census route (``classify`` calls
   it directly): direct scans for sizes 1 to 3, then iterative deepening
-  over connected vertex sets, with admissible pruning (coverage potential,
-  distance reachability and a 2-packing of the vertices left undominated);
+  over connected vertex sets, with admissible pruning (distance
+  reachability and a 2-packing of the vertices left undominated);
 * ``frontier_gamma_c`` - a dynamic program over the label order's frontier,
   for thin graphs such as the extremal constructions (a path-decomposition
   DP with connectivity states, after Bodlaender, Cygan, Kratsch and
@@ -54,18 +54,17 @@ searched: a connected set with a cycle contracts to a minor on more than
 n-k vertices, where no vertex of degree n-k-1 is universal.
 
 Pruning soundness in the subset search: with s = |S| and m = k - s vertices
-still to add, any superset grown from S covers at most |N[S]| + m*(Delta+1)
-vertices, and every vertex it covers lies within distance m+1 of S.  And
-undominated vertices with pairwise disjoint closed neighborhoods (pairwise
-at distance >= 3) need one distinct dominator each, none of them in S, so a
-greedy 2-packing of V - N[S] larger than m cuts the branch.  No test ever
-cuts a feasible branch, so the first dominating set the enumeration meets,
-and every minimum one it collects, are the same with or without them.
-The deepening may start at max(packing bound, diameter-1): disjoint closed
-neighborhoods need distinct dominators, and the internal path of a
-connected dominating set spans the graph within one step of every vertex.
-The per-graph tables (closed neighborhoods, distance balls, Delta) are built
-once and shared by every deepening level.
+still to add, every vertex that a superset grown from S covers lies within
+distance m+1 of S.  And undominated vertices with pairwise disjoint closed
+neighborhoods (pairwise at distance >= 3) need one distinct dominator each,
+none of them in S, so a greedy 2-packing of V - N[S] larger than m cuts the
+branch.  No test ever cuts a feasible branch, so the first dominating set
+the enumeration meets, and every minimum one it collects, are the same with
+or without them.  The deepening may start at max(packing bound,
+diameter-1): disjoint closed neighborhoods need distinct dominators, and
+the internal path of a connected dominating set spans the graph within one
+step of every vertex.  The per-graph tables (closed neighborhoods, distance
+balls) are built once and shared by every deepening level.
 
 Sizes 1 to 3 are answered by scans, without the search or its tables.  As
 no prune cuts a feasible branch, the search's hit at k = gamma_c is the
@@ -88,7 +87,8 @@ than the number left to add; a next vertex v above the largest vertex of
 N[u] for some undominated u, since every later choice is above v; too few
 vertices after v), or sets with a vertex that dominates nothing new, which
 cannot be minimum.  So the first hit is the lexicographically least
-minimum dominating set, at the least size that has one.
+minimum dominating set, at the least size that has one.  The witness is
+re-checked (size, domination) before it is returned.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def _packing_bound(uncovered: int, ball2: List[int]) -> int:
 
 
 def exact_gamma(g: Graph) -> DominationCertificate:
-    """Lexicographically least minimum dominating set, by one deepening search."""
+    """Lexicographically least minimum dominating set by one deepening search, checked."""
     _require_connected(g)
     n = g.n
     full = g.full
@@ -194,7 +194,7 @@ def exact_gamma(g: Graph) -> DominationCertificate:
     for value in range(_packing_bound(full, ball2), n + 1):
         witness = lex_witness(0, 0, value)
         if witness is not None:
-            return DominationCertificate(value, witness, METHOD_SUBSET)
+            return _checked(g, DominationCertificate(value, witness, METHOD_SUBSET), False)
     raise AssertionError("a connected graph always has a dominating set")
 
 
@@ -223,10 +223,9 @@ def _distance_balls(g: Graph, adjn: List[int]) -> Tuple[List[List[int]], int]:
 
 
 def _gamma_c_search(g: Graph, k: int, adjn: List[int], balls: List[List[int]],
-                    rmax: int, dmax: int, collect_all: bool) -> List[int]:
+                    rmax: int, collect_all: bool) -> List[int]:
     """Connected dominating sets of size <= k; first hit only unless collect_all."""
     full = g.full
-    n = g.n
     ball2 = balls[min(2, rmax)]
     found: List[int] = []
 
@@ -252,8 +251,6 @@ def _gamma_c_search(g: Graph, k: int, adjn: List[int], balls: List[List[int]],
             return None
         if m == 0:
             return PRUNE
-        if cover.bit_count() + m * (dmax + 1) < n:
-            return PRUNE
         if ball != full:
             return PRUNE
         if _packing_bound(full & ~cover, ball2) > m:
@@ -270,14 +267,13 @@ def _require_cds_input(g: Graph) -> None:
         raise ValueError("connected domination needs at least two vertices")
 
 
-def _cds_tables(g: Graph) -> Tuple[List[int], int, List[List[int]], int, int]:
-    """Closed neighborhoods, Delta, distance balls, radius cap and the deepening start."""
+def _cds_tables(g: Graph) -> Tuple[List[int], List[List[int]], int, int]:
+    """Closed neighborhoods, distance balls, radius cap and the deepening start."""
     adjn = _closed(g)
-    _, dmax, _ = degree_stats(g)
     balls, rmax = _distance_balls(g, adjn)
     ecc_max = rmax  # the last radius added is the diameter
     k0 = max(1, _packing_bound(g.full, balls[min(2, rmax)]), ecc_max - 1)
-    return adjn, dmax, balls, rmax, k0
+    return adjn, balls, rmax, k0
 
 
 def _minimum_cds(g: Graph, collect_all: bool, tables: tuple, k_min: int = 1) -> List[int]:
@@ -285,9 +281,9 @@ def _minimum_cds(g: Graph, collect_all: bool, tables: tuple, k_min: int = 1) -> 
 
     Returns the first such set found, or with collect_all every one of that size.
     """
-    adjn, dmax, balls, rmax, k0 = tables
+    adjn, balls, rmax, k0 = tables
     for k in range(max(k_min, k0), g.n + 1):
-        hits = _gamma_c_search(g, k, adjn, balls, rmax, dmax, collect_all)
+        hits = _gamma_c_search(g, k, adjn, balls, rmax, collect_all)
         if hits:
             return hits
     raise AssertionError("connected graph always has a connected dominating set")
@@ -415,12 +411,15 @@ def frontier_gamma_c(g: Graph) -> DominationCertificate:
     return _checked(g, DominationCertificate(value, witness, METHOD_FRONTIER))
 
 
-def _checked(g: Graph, cert: DominationCertificate) -> DominationCertificate:
-    """cert, after checking that its witness is a connected dominating set of its size."""
+def _checked(g: Graph, cert: DominationCertificate, connected: bool = True
+             ) -> DominationCertificate:
+    """cert, after checking that its witness is a dominating set of its size,
+    and a connected one unless connected is False."""
     w = cert.witness
-    if w.bit_count() != cert.value or not is_dominating(g, w) or not induces_connected(g, w):
-        raise AssertionError(f"{cert.method} returned no connected dominating set of size"
-                             f" {cert.value}")
+    if (w.bit_count() != cert.value or not is_dominating(g, w)
+            or connected and not induces_connected(g, w)):
+        kind = "connected dominating set" if connected else "dominating set"
+        raise AssertionError(f"{cert.method} returned no {kind} of size {cert.value}")
     return cert
 
 
@@ -429,13 +428,14 @@ def exact_gamma_c(g: Graph) -> DominationCertificate:
 
     The frontier DP runs iff 3**w < comb(n, k0), w the label order's frontier
     width and k0 the subset search's first size; otherwise subset search.
+    Either route's witness is checked before it is returned.
     """
     _require_cds_input(g)
     tables = _cds_tables(g)
     if 3 ** _frontier_width(g) < comb(g.n, tables[-1]):
         return frontier_gamma_c(g)
     s = _minimum_cds(g, False, tables)[0]
-    return DominationCertificate(s.bit_count(), s, METHOD_SUBSET)
+    return _checked(g, DominationCertificate(s.bit_count(), s, METHOD_SUBSET))
 
 
 def all_minimum_cds(g: Graph) -> List[int]:

@@ -31,6 +31,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .domination import all_minimum_cds, classify
+from .generate import _insert_vertex
 from .planar import (Face, Triangulation, from_face_list, is_face, triangulation_from_code,
                      underlying_graph)
 
@@ -61,24 +62,17 @@ def octahedron_sum(t: Triangulation, f: Face) -> Triangulation:
 
     Adds three vertices e = n, f = n+1, g = n+2 forming a triangle, joined
     by edges ae, af, bf, bg, ce, cg; the new triangle (n, n+1, n+2) bounds a
-    face of the result and is the site for iterating the construction.
+    face of the result and is the site for iterating the construction.  It
+    is three vertex insertions: e inside the face, f across edge (e, b) and
+    g across edge (f, c).
     """
     if not is_face(t, f):
         raise ValueError(f"{f} is not a face")
     a, b, c = f
     n = t.n
-    e, ff, g = n, n + 1, n + 2
-    rot = list(t.rot)
-    ia = rot[a].index(c) + 1
-    rot[a] = rot[a][:ia] + (e, ff) + rot[a][ia:]      # between c and b
-    ib = rot[b].index(a) + 1
-    rot[b] = rot[b][:ib] + (ff, g) + rot[b][ib:]      # between a and c
-    ic = rot[c].index(b) + 1
-    rot[c] = rot[c][:ic] + (g, e) + rot[c][ic:]       # between b and a
-    rot.append((a, c, g, ff))   # e
-    rot.append((a, e, g, b))    # f
-    rot.append((b, ff, e, c))   # g
-    return Triangulation(n + 3, rot)
+    t = _insert_vertex(t, (a, c, b))
+    t = _insert_vertex(t, (a, n, c, b), ((n, b),))
+    return _insert_vertex(t, (b, n + 1, n, c), ((n + 1, c),))
 
 
 def new_triangle(t_before: Triangulation) -> Face:

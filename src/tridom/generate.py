@@ -1,13 +1,18 @@
 """Isomorph-free generation of plane triangulations by vertex insertion.
 
 Every plane triangulation on n+1 >= 5 vertices arises from one on n vertices
-by inserting a vertex of degree 3 (inside a face), degree 4 (across an edge)
-or degree 5 (over a fan of three consecutive faces at an apex of degree at
-least 5).  Enumeration is level-synchronous and follows McKay's canonical
-construction path (J. Algorithms 1998; the same moves as plantri, Brinkmann
-& McKay 2007): a child is kept only if its new vertex is, up to automorphism,
-the child's canonical reduction, and the kept children are deduplicated by
-canonical code, so the next level holds each isomorphism class exactly once.
+by inserting a vertex v of degree 3, 4 or 5, a move given by a pair (link,
+cut) for ``_insert_vertex``: link is v's clockwise rotation, a cycle of the
+parent, and cut the edges inside it that the move deletes.  Inside face
+(a, b, c) the link is (a, c, b), cutting nothing; across edge (a, b), whose
+faces have third vertices c and d, it is (a, c, b, d), cutting (a, b); over
+the fan of three faces at an apex a of degree >= 5, with x1..x4 consecutive
+at a, it is (a, x1, x2, x3, x4), cutting (a, x2) and (a, x3).  Enumeration
+is level-synchronous and follows McKay's canonical construction path
+(J. Algorithms 1998; the same moves as plantri, Brinkmann & McKay 2007): a
+child is kept only if its new vertex is, up to automorphism, the child's
+canonical reduction, and the kept children are deduplicated by canonical
+code, so the next level holds each isomorphism class exactly once.
 
 Every vertex u of minimum degree (at most 5) can be deleted by inverting a
 move, so that the rest is a triangulation of order n: a degree-3 vertex
@@ -37,11 +42,11 @@ u; it has the minimum degree, so ``successors`` screens it in, and it is in
 the orbit of the canonical reduction, so it is kept.
 
 Each child is decided on its parent, before it is built.  A move changes
-only the degrees and neighbour lists around its site, so ``successors``
-ranks the new vertex on the parent and builds only the moves that pass.  It
-also expands one site per orbit of the parent's automorphism group: an
-automorphism carries a site to one whose child is isomorphic, new vertex to
-new vertex, so both give the same decision and code.  The group comes free
+only the degrees and neighbour lists of its link vertices, so ``successors``
+ranks the new vertex on the (link, cut) pair and builds only the moves that
+pass.  It also expands one site per orbit of the parent's automorphism
+group: an automorphism carries a site to one whose child is isomorphic, new
+vertex to new vertex, so both give the same decision and code.  The group comes free
 from coding: the label arrays that ``_min_code`` returns for the first child
 that reaches a class differ by its automorphisms.  Deleting two vertices of
 one orbit gives sites that an automorphism of the parent exchanges, so the
@@ -76,23 +81,36 @@ def _replace(seq: Tuple[int, ...], old: int, new: int) -> Tuple[int, ...]:
     return seq[:i] + (new,) + seq[i + 1:]
 
 
+def _cut_at(cut: Tuple[Tuple[int, int], ...], u: int) -> List[int]:
+    """The neighbours of u that the cut edges remove."""
+    return [y if x == u else x for x, y in cut if x == u or y == u]
+
+
+def _insert_vertex(t: Triangulation, link: Tuple[int, ...],
+                   cut: Tuple[Tuple[int, int], ...] = ()) -> Triangulation:
+    """t with a new vertex v = n of rotation link and the cut edges deleted;
+    unchecked.  At a link vertex that loses one neighbour to the cut, v takes
+    its place; at any other, v goes right after the next link vertex, once
+    the lost neighbours are gone."""
+    v = t.n
+    rot = list(t.rot)
+    for i, u in enumerate(link):
+        gone = _cut_at(cut, u) if cut else ()
+        if len(gone) == 1:
+            rot[u] = _replace(rot[u], gone[0], v)
+        else:
+            row = tuple(x for x in rot[u] if x not in gone) if gone else rot[u]
+            rot[u] = _insert_after(row, link[(i + 1) % len(link)], (v,))
+    rot.append(link)
+    return Triangulation(v + 1, rot)
+
+
 def expand_deg3(t: Triangulation, f: Face) -> Triangulation:
     """Insert a new vertex of degree 3 inside face f = (a, b, c)."""
     if not is_face(t, f):
         raise ValueError(f"{f} is not a face")
-    return _insert_deg3(t, f)
-
-
-def _insert_deg3(t: Triangulation, f: Face) -> Triangulation:
-    """expand_deg3 for a face known to be one, say from ``faces(t)``."""
     a, b, c = f
-    v = t.n
-    rot = list(t.rot)
-    rot[a] = _insert_after(rot[a], c, (v,))   # between c and b
-    rot[b] = _insert_after(rot[b], a, (v,))   # between a and c
-    rot[c] = _insert_after(rot[c], b, (v,))   # between b and a
-    rot.append((a, c, b))
-    return Triangulation(t.n + 1, rot)
+    return _insert_vertex(t, (a, c, b))
 
 
 def opposite_vertices(t: Triangulation, e: Tuple[int, int]) -> Tuple[int, int]:
@@ -104,33 +122,20 @@ def opposite_vertices(t: Triangulation, e: Tuple[int, int]) -> Tuple[int, int]:
 
 
 def expand_deg4(t: Triangulation, e: Tuple[int, int]) -> Triangulation:
-    """Replace edge e = (a, b) by a new degree-4 vertex joined to a, c, b, d.
-
-    c and d are the third vertices of the two faces at e; they must differ,
-    otherwise the insertion would create a doubled gadget.
-    """
+    """Replace edge e = (a, b) by a new degree-4 vertex joined to a, c, b, d,
+    the third vertices c != d of the two faces at e."""
     a, b = e
     c, d = opposite_vertices(t, e)
     if c == d:
         raise ValueError(f"edge {e} has coinciding opposite vertices")
-    v = t.n
-    rot = list(t.rot)
-    rot[a] = _replace(rot[a], b, v)
-    rot[b] = _replace(rot[b], a, v)
-    rot[c] = _insert_after(rot[c], b, (v,))   # between b and a
-    rot[d] = _insert_after(rot[d], a, (v,))   # between a and b
-    rot.append((a, c, b, d))
-    return Triangulation(t.n + 1, rot)
+    return _insert_vertex(t, (a, c, b, d), ((a, b),))
 
 
 def expand_deg5(t: Triangulation, apex: int, x1: int) -> Triangulation:
     """Insert a degree-5 vertex over the fan of three consecutive faces at apex.
 
-    The fan is determined by the apex a and the first fan neighbor x1: with
-    x2, x3, x4 following x1 in the rotation at a, the faces (a,x1,x2),
-    (a,x2,x3), (a,x3,x4) are replaced by the wheel of the new vertex over the
-    pentagon a, x1, x2, x3, x4 (edges a-x2 and a-x3 are removed).  Requires
-    degree(a) >= 5.
+    With x2, x3, x4 following x1 at apex, the new vertex is joined to apex and
+    x1..x4, and edges apex-x2, apex-x3 go.  Requires degree(apex) >= 5.
     """
     if not 0 <= apex < t.n:
         raise ValueError(f"vertex {apex} out of range")
@@ -144,16 +149,7 @@ def expand_deg5(t: Triangulation, apex: int, x1: int) -> Triangulation:
     x2, x3, x4 = ra[(i + 1) % d], ra[(i + 2) % d], ra[(i + 3) % d]
     if len({apex, x1, x2, x3, x4}) != 5:
         raise ValueError("fan vertices are not pairwise distinct")
-    v = t.n
-    rot = list(t.rot)
-    ra2 = tuple(u for u in ra if u not in (x2, x3))
-    rot[apex] = _insert_after(ra2, x1, (v,))          # between x1 and x4
-    rot[x1] = _insert_after(rot[x1], x2, (v,))        # between x2 and apex
-    rot[x2] = _replace(rot[x2], apex, v)
-    rot[x3] = _replace(rot[x3], apex, v)
-    rot[x4] = _insert_after(rot[x4], apex, (v,))      # between apex and x3
-    rot.append((apex, x1, x2, x3, x4))
-    return Triangulation(t.n + 1, rot)
+    return _insert_vertex(t, (apex, x1, x2, x3, x4), ((apex, x2), (apex, x3)))
 
 
 def collapse_deg5(t: Triangulation, v: int, apex: int) -> Triangulation:
@@ -212,9 +208,9 @@ def successors(t: Triangulation, auts: Sequence[Sequence[int]] = ()
         a, b, c = f
         if auts and any(sorted((s[a], s[b], s[c])) < sorted(f) for s in auts):
             continue
-        ties = _rank(rot, deg, deg3, {v: (a, c, b)}, f)
+        ties = _rank(rot, deg, deg3, (a, c, b), ())
         if ties is not None:
-            yield _insert_deg3(t, f), ties
+            yield _insert_vertex(t, (a, c, b)), ties
     if len(deg3) <= 2:
         near = [u for u in range(v) if deg[u] <= 4]
         for a, ra in enumerate(rot):
@@ -224,11 +220,10 @@ def successors(t: Triangulation, auts: Sequence[Sequence[int]] = ()
                     continue
                 if auts and any((min(s[a], s[b]), max(s[a], s[b])) < (a, b) for s in auts):
                     continue
-                ties = _rank(rot, deg, near, {v: (a, c, b, d), a: _replace(ra, b, v),
-                                              b: _replace(rot[b], a, v), c: rot[c] + (v,),
-                                              d: rot[d] + (v,)}, (c, d))
+                link, cut = (a, c, b, d), ((a, b),)
+                ties = _rank(rot, deg, near, link, cut)
                 if ties is not None:
-                    yield expand_deg4(t, (a, b)), ties
+                    yield _insert_vertex(t, link, cut), ties
     low = {u for u in range(v) if deg[u] <= 4}
     if len(low) <= 2 and not deg3:
         near = [u for u in range(v) if deg[u] <= 6]
@@ -243,39 +238,41 @@ def successors(t: Triangulation, auts: Sequence[Sequence[int]] = ()
                 if auts and any((s[a], min(s[x2], s[x3]), max(s[x2], s[x3]))
                                 < (a, min(x2, x3), max(x2, x3)) for s in auts):
                     continue
-                ties = _rank(rot, deg, near, {v: (a, x1, x2, x3, x4),
-                                              a: tuple(u for u in ra if u != x2 and u != x3) + (v,),
-                                              x1: rot[x1] + (v,), x2: _replace(rot[x2], a, v),
-                                              x3: _replace(rot[x3], a, v), x4: rot[x4] + (v,)},
-                             (x1, x4), a)
+                link, cut = (a, x1, x2, x3, x4), ((a, x2), (a, x3))
+                ties = _rank(rot, deg, near, link, cut)
                 if ties is not None:
-                    yield expand_deg5(t, a, x1), ties
+                    yield _insert_vertex(t, link, cut), ties
 
 
-def _rank(rot, deg: List[int], near: List[int], moved: Dict[int, Tuple[int, ...]],
-          raised: Tuple[int, ...], lowered: Optional[int] = None) -> Optional[List[int]]:
-    """Rank the new vertex v = n against the child's other vertices of its
-    degree by their sorted neighbour degrees, without building the child.
+def _rank(rot, deg: List[int], near: List[int], link: Tuple[int, ...],
+          cut: Tuple[Tuple[int, int], ...]) -> Optional[List[int]]:
+    """Rank the new vertex v = n of the move (link, cut) against the child's
+    other vertices of its degree by their sorted neighbour degrees, without
+    building the child.
 
     deg and rot are the parent's, and near, in increasing order, holds every
-    vertex that may have v's degree in the child.  The move raises the
-    degrees of raised, lowers that of lowered, and gives v and the site
-    vertices the neighbour lists in moved.  None if a vertex ranks above v,
-    so that v is not the canonical reduction; otherwise those that tie with
-    v, in increasing order (an empty list when v alone ranks highest).
+    vertex that may have v's degree in the child.  None if a vertex ranks
+    above v, so that v is not the canonical reduction; otherwise those that
+    tie with v, in increasing order (an empty list when v alone ranks
+    highest).
     """
     v = len(deg)
-    deg = deg + [len(moved[v])]
-    for x in raised:
+    deg = deg + [len(link)]
+    for x in link:
         deg[x] += 1
-    if lowered is not None:
-        deg[lowered] -= 1
+    for x, y in cut:
+        deg[x] -= 1
+        deg[y] -= 1
     d = deg[v]
-    key = sorted([deg[x] for x in moved[v]])
+    key = sorted([deg[x] for x in link])
     ties = []
     for u in near:
         if deg[u] == d:
-            k = sorted([deg[x] for x in moved.get(u, rot[u])])
+            if u in link:
+                gone = _cut_at(cut, u)
+                k = sorted([deg[x] for x in rot[u] if x not in gone] + [d])
+            else:
+                k = sorted([deg[x] for x in rot[u]])
             if k > key:
                 return None
             if k == key:

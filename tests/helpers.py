@@ -13,7 +13,10 @@ prunes, the two-phase domination search, the coding kernel that tries every
 root edge, the symbol-by-symbol decoder, and generation that builds every
 minimum-degree child before ranking its new vertex), to pin the exact
 certificates, codes, label arrays and screened children that the
-production code emits as it changes.
+production code emits as it changes.  So do the move builders
+``reference_insert_deg3``, ``reference_expand_deg4``,
+``reference_expand_deg5`` and ``reference_octahedron_sum``: each edits the
+rotation rows by hand, sharing no code with ``generate._insert_vertex``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from tridom.graphs import (
     vset,
 )
 from tridom.planar import (Face, Triangulation, canonical_code, faces, from_face_list,
-                           verify_triangulation)
-from tridom.generate import K4, expand_deg3, expand_deg4, expand_deg5, opposite_vertices
+                           is_face, verify_triangulation)
+from tridom.generate import K4, expand_deg3, opposite_vertices
 
 
 def brute_gamma(g: Graph) -> int:
@@ -190,6 +193,90 @@ def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
             return g
 
 
+def _insert_after(seq: Tuple[int, ...], anchor: int, items: Tuple[int, ...]) -> Tuple[int, ...]:
+    i = seq.index(anchor) + 1
+    return seq[:i] + items + seq[i:]
+
+
+def _replace(seq: Tuple[int, ...], old: int, new: int) -> Tuple[int, ...]:
+    i = seq.index(old)
+    return seq[:i] + (new,) + seq[i + 1:]
+
+
+def reference_insert_deg3(t: Triangulation, f: Face) -> Triangulation:
+    """A new vertex of degree 3 inside face f = (a, b, c) of t."""
+    a, b, c = f
+    v = t.n
+    rot = list(t.rot)
+    rot[a] = _insert_after(rot[a], c, (v,))   # between c and b
+    rot[b] = _insert_after(rot[b], a, (v,))   # between a and c
+    rot[c] = _insert_after(rot[c], b, (v,))   # between b and a
+    rot.append((a, c, b))
+    return Triangulation(t.n + 1, rot)
+
+
+def reference_expand_deg4(t: Triangulation, e: Tuple[int, int]) -> Triangulation:
+    """Edge e = (a, b) replaced by a new degree-4 vertex joined to a, c, b, d."""
+    a, b = e
+    c, d = opposite_vertices(t, e)
+    if c == d:
+        raise ValueError(f"edge {e} has coinciding opposite vertices")
+    v = t.n
+    rot = list(t.rot)
+    rot[a] = _replace(rot[a], b, v)
+    rot[b] = _replace(rot[b], a, v)
+    rot[c] = _insert_after(rot[c], b, (v,))   # between b and a
+    rot[d] = _insert_after(rot[d], a, (v,))   # between a and b
+    rot.append((a, c, b, d))
+    return Triangulation(t.n + 1, rot)
+
+
+def reference_expand_deg5(t: Triangulation, apex: int, x1: int) -> Triangulation:
+    """A degree-5 vertex over the fan of three faces at apex from x1."""
+    if not 0 <= apex < t.n:
+        raise ValueError(f"vertex {apex} out of range")
+    ra = t.rot[apex]
+    d = len(ra)
+    if d < 5:
+        raise ValueError(f"apex degree {d} below 5")
+    if x1 not in ra:
+        raise ValueError(f"{x1} is not a neighbor of apex {apex}")
+    i = ra.index(x1)
+    x2, x3, x4 = ra[(i + 1) % d], ra[(i + 2) % d], ra[(i + 3) % d]
+    if len({apex, x1, x2, x3, x4}) != 5:
+        raise ValueError("fan vertices are not pairwise distinct")
+    v = t.n
+    rot = list(t.rot)
+    ra2 = tuple(u for u in ra if u not in (x2, x3))
+    rot[apex] = _insert_after(ra2, x1, (v,))          # between x1 and x4
+    rot[x1] = _insert_after(rot[x1], x2, (v,))        # between x2 and apex
+    rot[x2] = _replace(rot[x2], apex, v)
+    rot[x3] = _replace(rot[x3], apex, v)
+    rot[x4] = _insert_after(rot[x4], apex, (v,))      # between apex and x3
+    rot.append((apex, x1, x2, x3, x4))
+    return Triangulation(t.n + 1, rot)
+
+
+def reference_octahedron_sum(t: Triangulation, f: Face) -> Triangulation:
+    """Clique sum of t with the octahedron over face f = (a, b, c)."""
+    if not is_face(t, f):
+        raise ValueError(f"{f} is not a face")
+    a, b, c = f
+    n = t.n
+    e, ff, g = n, n + 1, n + 2
+    rot = list(t.rot)
+    ia = rot[a].index(c) + 1
+    rot[a] = rot[a][:ia] + (e, ff) + rot[a][ia:]      # between c and b
+    ib = rot[b].index(a) + 1
+    rot[b] = rot[b][:ib] + (ff, g) + rot[b][ib:]      # between a and c
+    ic = rot[c].index(b) + 1
+    rot[c] = rot[c][:ic] + (g, e) + rot[c][ic:]       # between b and a
+    rot.append((a, c, g, ff))   # e
+    rot.append((a, e, g, b))    # f
+    rot.append((b, ff, e, c))   # g
+    return Triangulation(n + 3, rot)
+
+
 def all_sites(t: Triangulation) -> List[Tuple[Tuple[int, ...], Triangulation]]:
     """Every child of t under the three moves, with no minimum-degree filter,
     each after the key of its site, which starts with the new vertex's
@@ -197,15 +284,15 @@ def all_sites(t: Triangulation) -> List[Tuple[Tuple[int, ...], Triangulation]]:
     distinct opposite vertices (4, then its sorted pair), then each fan at an
     apex of degree >= 5 (5, the apex, then the sorted pair of its two middle
     neighbours, whose edges to the apex the move removes)."""
-    kids = [((3, *sorted(f)), expand_deg3(t, f)) for f in faces(t)]
-    kids += [((4, *e), expand_deg4(t, e)) for e in t.edges()
+    kids = [((3, *sorted(f)), reference_insert_deg3(t, f)) for f in faces(t)]
+    kids += [((4, *e), reference_expand_deg4(t, e)) for e in t.edges()
              if len(set(opposite_vertices(t, e))) == 2]
     for a in range(t.n):
         ra = t.rot[a]
         if len(ra) >= 5:
             for i, x1 in enumerate(ra):
                 middle = sorted((ra[(i + 1) % len(ra)], ra[(i + 2) % len(ra)]))
-                kids.append(((5, a, *middle), expand_deg5(t, a, x1)))
+                kids.append(((5, a, *middle), reference_expand_deg5(t, a, x1)))
     return kids
 
 
@@ -226,13 +313,13 @@ def reference_successors(t: Triangulation) -> Iterator[Triangulation]:
     """
     deg = [len(r) for r in t.rot]
     for f in faces(t):
-        yield expand_deg3(t, f)
+        yield reference_insert_deg3(t, f)
     deg3 = {v for v in range(t.n) if deg[v] == 3}
     if len(deg3) <= 2:
         for e in t.edges():
             c, d = opposite_vertices(t, e)
             if c != d and deg3 <= {c, d}:
-                yield expand_deg4(t, e)
+                yield reference_expand_deg4(t, e)
     low = {v for v in range(t.n) if deg[v] <= 4}
     if len(low) <= 2 and not deg3:
         for a in range(t.n):
@@ -241,7 +328,7 @@ def reference_successors(t: Triangulation) -> Iterator[Triangulation]:
             if da >= 6:
                 for i, x1 in enumerate(ra):
                     if low <= {x1, ra[(i + 3) % da]}:
-                        yield expand_deg5(t, a, x1)
+                        yield reference_expand_deg5(t, a, x1)
 
 
 def reference_screen(child: Triangulation) -> Optional[List[int]]:

@@ -20,7 +20,7 @@ from tridom.census import (
     run_census,
     verify_corpus,
 )
-from tridom.domination import exact_gamma_c
+from tridom.domination import exact_gamma, exact_gamma_c
 from tridom.generate import levels, triangulations
 from tridom.graphs import bits, induces_connected, is_dominating
 from tridom.planar import mirror, planar_code_write, relabel
@@ -202,10 +202,19 @@ def _corrupt_first_label(code: str) -> str:
     ("code", lambda code: code[:-2], "unterminated rotation block in code"),
     ("n", lambda n: n + 1, "code has order 9"),
     ("witness", lambda w: w[:-1], "witness is not a connected dominating set of size gamma_c"),
+    ("gamma", lambda gamma: 4, "gamma 4 exceeds gamma_c 3"),
+    ("gamma", lambda gamma: gamma - 1, "gamma_witness is not a dominating set of size gamma"),
+    ("gamma_witness", lambda w: w[:-1] + [77], "set mentions vertices outside the graph"),
 ])
 def test_json_records_are_checked_on_load(census_default, field, corrupt, message):
+    """A record whose code, order, witness or gamma fields are wrong is
+    refused on load, with its n and code; the uncorrupted record loads."""
     _, records = census_default
-    d = next(r for r in records if r.n == 9 and r.gamma_c == 3).to_dict()
+    rec = next(r for r in records if r.n == 9 and r.gamma_c == 3)
+    gamma = exact_gamma(rec.graph())
+    d = {**rec.to_dict(), "gamma": gamma.value, "gamma_witness": sorted(bits(gamma.witness))}
+    _, (back,) = results_from_json(json.dumps({"rows": [], "records": [d]}))
+    assert back.gamma_certificate == gamma
     d[field] = corrupt(d[field])
     text = json.dumps({"rows": [], "records": [d]})
     with pytest.raises(ValueError, match=f"^record n={d['n']} code={d['code']}: {message}"):

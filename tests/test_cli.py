@@ -3,10 +3,10 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from tridom import cli
+from tridom import cli, domination
 from tridom.cli import main
-from tridom.graphs import graph6_read
-from tridom.planar import Triangulation, planar_code_read, planar_code_write
+from tridom.graphs import Graph, graph6_read, graph6_write
+from tridom.planar import Triangulation, planar_code_read, planar_code_write, underlying_graph
 from tridom.families import icosahedron, octahedron
 from tridom.generate import triangulations
 
@@ -118,6 +118,31 @@ def test_solve_reports_a_failed_witness_check_per_record(tmp_path, capsys, monke
                    " connected dominating set of size 4"}
     assert third["index"] == 2 and third["gamma_c"] == 2
     assert err == ""
+
+
+def test_solve_reports_a_failed_graph6_witness_check_per_record(tmp_path, capsys, monkeypatch):
+    """On graph6 input, exact_gamma_c and then exact_gamma re-check their
+    witnesses: with closed neighbourhoods that make vertex 0 of the
+    12-vertex graph look universal, its record fails with the check's
+    message and the records around it are answered, first with gamma_c
+    wrong, then, with gamma_c answered, with gamma wrong."""
+    ico = underlying_graph(icosahedron())
+    inp = tmp_path / "k4_ico_k4.g6"
+    inp.write_text(f"C~\n{graph6_write(ico)}\nC~\n")
+    answers = {g.n: cli.exact_gamma_c(g) for g in (Graph.complete(4), ico)}
+    monkeypatch.setattr(domination, "_closed",
+                        lambda g, _closed=domination._closed:
+                        [g.full] * g.n if g.n == 12 else _closed(g))
+    for kind in ("connected dominating set", "dominating set"):
+        assert main(["solve", "--format", "graph6", "--gamma", "--input", str(inp)]) == 1
+        out, err = capsys.readouterr()
+        first, bad, third = map(json.loads, out.strip().splitlines())
+        assert first["index"] == 0 and first["gamma"] == 1
+        assert bad == {"index": 1, "error": "internal check failed: subset-search returned no"
+                       f" {kind} of size 1"}
+        assert third["index"] == 2 and third["gamma"] == 1
+        assert err == ""
+        monkeypatch.setattr(cli, "exact_gamma_c", lambda g: answers[g.n])
 
 
 def test_solve_rejects_non_triangulation_and_answers_the_rest(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -35,6 +36,7 @@ from tridom.planar import (
     verify_triangulation,
 )
 
+from helpers import reference_octahedron_sum
 
 
 def test_octahedron_is_the_4_regular_6_vertex_triangulation():
@@ -56,6 +58,38 @@ def test_octahedron_sum_structure():
     assert verify_triangulation(grand).ok
     with pytest.raises(ValueError):
         octahedron_sum(K4, (0, 2, 1))
+
+
+# sha256 of the repr of the list of members' rotation rows: A and B for
+# k = 3..100, chains for k = 2..7
+MEMBER_DIGESTS = {
+    "A": "08459e05199bde941796b01b8873363a9cb42194faaa5913007442b7cf6617ea",
+    "B": "deb983654e7aa6a3bdb38ad5321f177913c805ac7c4a5be52520e6272192f8c9",
+    "chain": "d404083f54bde2ddaa5384c631d3282c6ec0d82b06fcd7bf4ad2e5738d9abce6",
+}
+
+
+def _digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_members_match_the_reference_sum_byte_for_byte():
+    """octahedron_sum is three vertex insertions; it gives the rows of the
+    hand-written reference sum on every face of the icosahedron and of both
+    bases, and for every member of A and B at k = 3..100.  The members'
+    rows, and those of chains 2..7, are pinned by digest."""
+    for base in (icosahedron(), family_base("A")[0], family_base("B")[0]):
+        for f in faces(base):
+            assert octahedron_sum(base, f).rot == reference_octahedron_sum(base, f).rot
+    for which in "AB":
+        t, site = family_base(which)
+        members = []
+        for k in range(3, 101):
+            assert family(which, k).rot == t.rot, (which, k)
+            members.append(t.rot)
+            t, site = reference_octahedron_sum(t, site), new_triangle(t)
+        assert _digest(members) == MEMBER_DIGESTS[which]
+    assert _digest([icosa_chain(k).rot for k in range(2, 8)]) == MEMBER_DIGESTS["chain"]
 
 
 def test_octahedron_sum_gadget_is_an_octahedron():

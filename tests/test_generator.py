@@ -119,6 +119,35 @@ def test_expand_collapse_deg5_round_trip():
         assert canonical_code(back) == base
 
 
+def _every_move(t):
+    """Every child of t by the package's move builders, in the order of
+    ``all_sites``: face by face, edge by edge, then fan by fan."""
+    kids = [expand_deg3(t, f) for f in faces(t)]
+    kids += [expand_deg4(t, e) for e in t.edges()]
+    kids += [expand_deg5(t, a, x1) for a in range(t.n) if len(t.rot[a]) >= 5
+             for x1 in t.rot[a]]
+    return kids
+
+
+def test_move_builders_match_the_reference_rows(levels_to_11):
+    """expand_deg3/4/5 build each move as one (link, cut) insertion; the rows
+    equal, exactly, those of the hand-written builders of the tests, on every
+    site of every parent of orders 4..10, of random parents of orders 14..30
+    and of random parents with many degree-5 moves, each also relabelled and
+    mirrored."""
+    rng = random.Random(15)
+    parents = [t for n in range(4, 11) for t in levels_to_11[n]]
+    for t in ([random_triangulation(rng, n) for n in range(14, 31)]
+              + [random_fan_parent(rng, n) for n in range(13, 21)]):
+        s = relabel(t, random_permutation(rng, t.n))
+        parents += [t, s, mirror(s)]
+    fans = 0
+    for t in parents:
+        assert [c.rot for c in _every_move(t)] == [c.rot for c in all_children(t)]
+        fans += sum(len(r) for r in t.rot if len(r) >= 5)
+    assert fans > 10_000
+
+
 def _has_tuple_rows(t):
     return type(t.rot) is tuple and all(type(r) is tuple for r in t.rot)
 

@@ -352,6 +352,23 @@ def test_classify_rejects_a_bad_witness(monkeypatch, levels_to_9):
             classify(t9)
 
 
+def test_exact_solvers_recheck_their_witnesses(monkeypatch):
+    """exact_gamma_c's subset route and exact_gamma check the witness they
+    return: a search that hands back vertex 0 alone, or closed neighbourhoods
+    that make vertex 0 look universal, raise AssertionError instead of
+    answering 1."""
+    a5 = underlying_graph(family("A", 5))
+    assert exact_gamma_c(a5).method == METHOD_SUBSET
+    with monkeypatch.context() as m:
+        m.setattr(domination, "_minimum_cds", lambda g, collect_all, tables, k_min=1: [1])
+        with pytest.raises(AssertionError,
+                           match="subset-search returned no connected dominating set of size 1"):
+            exact_gamma_c(a5)
+    monkeypatch.setattr(domination, "_closed", lambda g: [g.full] * g.n)
+    with pytest.raises(AssertionError, match="subset-search returned no dominating set of size 1"):
+        exact_gamma(a5)
+
+
 def test_classify_octahedron_uses_shortcut():
     cert = classify(octahedron())
     assert cert.value == 2
