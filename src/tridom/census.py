@@ -19,14 +19,16 @@ from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tu
 
 from . import generate
 from .domination import (
+    METHOD_DELTA,
     METHOD_SUBSET,
     DominationCertificate,
+    _is_witness,
     bfs_tree_cds,
     classify,
     exact_gamma,
     gamma_c_by_contraction,
 )
-from .graphs import Graph, bits, induces_connected, is_dominating, vset
+from .graphs import Graph, bits, vset
 from .planar import (Triangulation, canonical_code, planar_code_read, triangulation_from_code,
                      underlying_graph, verify_triangulation)
 
@@ -114,8 +116,9 @@ class CensusRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "CensusRecord":
         """The record ``to_dict`` wrote, checked first: its code must decode
-        to a triangulation of order n, its witness must be a connected
-        dominating set of size gamma_c, and gamma_witness, if there is one, a
+        to a triangulation of order n with largest degree Delta, its witness
+        must be a connected dominating set of size gamma_c, its method one
+        that ``classify`` emits, and gamma_witness, if there is one, a
         dominating set of size gamma <= gamma_c.  Raises ValueError naming
         the record otherwise."""
         try:
@@ -126,17 +129,21 @@ class CensusRecord:
                 raise ValueError(f"code is not a triangulation: {report.problem}")
             if t.n != d["n"]:
                 raise ValueError(f"code has order {t.n}")
+            delta = max(map(len, t.rot))
+            if d["Delta"] != delta:
+                raise ValueError(f"Delta {d['Delta']} is not the largest degree {delta}")
+            if d["method"] not in (METHOD_SUBSET, METHOD_DELTA):
+                raise ValueError(f"method {d['method']!r} is not one that classify emits")
             g = underlying_graph(t)
             witness = vset(d["witness"])
-            if (witness.bit_count() != d["gamma_c"] or not is_dominating(g, witness)
-                    or not induces_connected(g, witness)):
+            if not _is_witness(g, d["gamma_c"], witness):
                 raise ValueError("witness is not a connected dominating set of size gamma_c")
             gamma_cert = None
             if "gamma" in d:
                 if d["gamma"] > d["gamma_c"]:
                     raise ValueError(f"gamma {d['gamma']} exceeds gamma_c {d['gamma_c']}")
                 gamma_witness = vset(d["gamma_witness"])
-                if gamma_witness.bit_count() != d["gamma"] or not is_dominating(g, gamma_witness):
+                if not _is_witness(g, d["gamma"], gamma_witness, connected=False):
                     raise ValueError("gamma_witness is not a dominating set of size gamma")
                 gamma_cert = DominationCertificate(d["gamma"], gamma_witness, METHOD_SUBSET)
         except ValueError as exc:
@@ -286,12 +293,8 @@ def verify_corpus(records: Iterable[CensusRecord], cross_solver_max_n: int = 10,
         gc = rec.gamma_c
 
         report.checks_run += 1
-        if not is_dominating(g, rec.gamma_c_witness):
-            fail(rec, "stored witness is not dominating")
-        if not induces_connected(g, rec.gamma_c_witness):
-            fail(rec, "stored witness is not connected")
-        if rec.gamma_c_witness.bit_count() != gc:
-            fail(rec, "stored witness size differs from value")
+        if not _is_witness(g, gc, rec.gamma_c_witness):
+            fail(rec, "stored witness is not a connected dominating set of size gamma_c")
 
         report.checks_run += 1
         if rec.gamma > gc:
@@ -305,7 +308,7 @@ def verify_corpus(records: Iterable[CensusRecord], cross_solver_max_n: int = 10,
         tree = bfs_tree_cds(g)
         if tree.value > n - rec.Delta:
             fail(rec, f"tree bound witness has {tree.value} > n - Delta vertices")
-        if not is_dominating(g, tree.witness) or not induces_connected(g, tree.witness):
+        if not _is_witness(g, tree.value, tree.witness):
             fail(rec, "tree bound witness is not a connected dominating set")
 
         if 9 <= n <= 13:

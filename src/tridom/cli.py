@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Union
 
 from . import census as census_mod
 from . import generate as generate_mod
-from .domination import classify, exact_gamma, exact_gamma_c
+from .domination import exact_gamma, exact_gamma_c
 from .families import FamilySpec, expected_family_value
 from .graphs import Graph, bits, graph6_read, graph6_write
 from .planar import (
@@ -110,7 +110,10 @@ def _read_input(path: Optional[str], fmt: str
 def _cmd_solve(args) -> int:
     """Print one JSON line per input item, in order; exit 1 if any failed.
 
-    Two errors are per record: a ValueError (the item is malformed or not a
+    A planar_code record must be a triangulation; then it is solved as its
+    underlying graph, so both formats take one route, ``exact_gamma_c``, and
+    the planar_code and graph6 copies of a graph print the same line.  Two
+    errors are per record: a ValueError (the item is malformed or not a
     triangulation) and an AssertionError (a solver's witness failed its
     re-check, see ``domination._checked``).  Either prints the item's index
     with the error and goes on to the next item: every answer is checked on
@@ -122,15 +125,13 @@ def _cmd_solve(args) -> int:
         try:
             if isinstance(item, ValueError):
                 raise item
+            g = item
             if isinstance(item, Triangulation):
                 report = verify_triangulation(item)
                 if not report.ok:
                     raise ValueError(f"not a triangulation: {report.problem}")
-                cert = classify(item)
                 g = underlying_graph(item)
-            else:
-                g = item
-                cert = exact_gamma_c(g)
+            cert = exact_gamma_c(g)
             rec = {"index": idx, "n": g.n, "gamma_c": cert.value,
                    "witness": sorted(bits(cert.witness)), "method": cert.method}
             if args.gamma:

@@ -16,13 +16,16 @@ Three routes to the connected domination number are provided:
   whether the merged vertex is universal in the resulting minor.  It shares
   no search code with the other two routes, and is several times slower.
 
-``exact_gamma_c`` picks one of the first two from the input.  With k0 the
-subset search's first size (below) and w the label order's frontier width,
-it runs the DP iff 3**w < comb(n, k0): the DP's unlabelled state space
-against the candidate sets of the search's first level.  ``classify`` does
-not route: on census classes the DP is about 16 times slower than subset
-search (order 11, frontiers of 3 to 7 vertices: 1.8 s against 0.11 s), and
-the rule would still send some of them to it (20 of the 1,249 at order 11).
+``exact_gamma_c`` answers any graph, and ``tridom solve`` uses it for every
+input format.  It runs the subset search's scans of sizes 1 to 3 (below)
+first; only when they fail does it build the search tables and pick one of
+the first two routes.  With k0 the subset search's first size and w the
+label order's frontier width, it runs the DP iff 3**w < comb(n, k0): the
+DP's unlabelled state space against the candidate sets of the search's
+first level.  Otherwise it deepens the subset search on the same tables, so
+its subset-search answers are ``subset_gamma_c``'s.  ``classify`` does not
+route: on census classes the DP is about 16 times slower than subset search
+(order 11, frontiers of 3 to 7 vertices: 1.8 s against 0.11 s).
 
 Soundness of the frontier DP: vertices are taken in label order, and the
 frontier is the processed vertices that still have an unprocessed
@@ -289,6 +292,12 @@ def _minimum_cds(g: Graph, collect_all: bool, tables: tuple, k_min: int = 1) -> 
     raise AssertionError("connected graph always has a connected dominating set")
 
 
+def _search_cds(g: Graph, tables: tuple) -> int:
+    """The search's first hit once ``_small_cds`` found none: gamma_c >= 4, so
+    it deepens from max(4, its lower bound)."""
+    return _minimum_cds(g, False, tables, k_min=4)[0]
+
+
 def _dominators(cand: int, missed: int, adjn: List[int]) -> int:
     """The vertices of cand whose closed neighborhood holds every vertex of missed."""
     while missed and cand:
@@ -336,7 +345,7 @@ def subset_gamma_c(g: Graph) -> DominationCertificate:
     the search deepened from max(4, its lower bound).
     """
     _require_cds_input(g)
-    s = _small_cds(g) or _minimum_cds(g, False, _cds_tables(g), k_min=4)[0]
+    s = _small_cds(g) or _search_cds(g, _cds_tables(g))
     return DominationCertificate(s.bit_count(), s, METHOD_SUBSET)
 
 
@@ -411,13 +420,18 @@ def frontier_gamma_c(g: Graph) -> DominationCertificate:
     return _checked(g, DominationCertificate(value, witness, METHOD_FRONTIER))
 
 
+def _is_witness(g: Graph, value: int, witness: int, connected: bool = True) -> bool:
+    """True iff witness is a dominating set of value vertices, and a connected
+    one unless connected is False."""
+    return (witness.bit_count() == value and is_dominating(g, witness)
+            and (not connected or induces_connected(g, witness)))
+
+
 def _checked(g: Graph, cert: DominationCertificate, connected: bool = True
              ) -> DominationCertificate:
     """cert, after checking that its witness is a dominating set of its size,
     and a connected one unless connected is False."""
-    w = cert.witness
-    if (w.bit_count() != cert.value or not is_dominating(g, w)
-            or connected and not induces_connected(g, w)):
+    if not _is_witness(g, cert.value, cert.witness, connected):
         kind = "connected dominating set" if connected else "dominating set"
         raise AssertionError(f"{cert.method} returned no {kind} of size {cert.value}")
     return cert
@@ -426,15 +440,20 @@ def _checked(g: Graph, cert: DominationCertificate, connected: bool = True
 def exact_gamma_c(g: Graph) -> DominationCertificate:
     """Minimum connected dominating set, by the route the input favours.
 
-    The frontier DP runs iff 3**w < comb(n, k0), w the label order's frontier
-    width and k0 the subset search's first size; otherwise subset search.
-    Either route's witness is checked before it is returned.
+    Sizes 1 to 3 are scanned first, as in ``subset_gamma_c``.  Only when the
+    scans fail are the search tables built; then the frontier DP runs iff
+    3**w < comb(n, k0), w the label order's frontier width and k0 the subset
+    search's first size, and otherwise subset search deepens on those tables.
+    So every subset-search answer is ``subset_gamma_c``'s.  Either route's
+    witness is checked before it is returned.
     """
     _require_cds_input(g)
-    tables = _cds_tables(g)
-    if 3 ** _frontier_width(g) < comb(g.n, tables[-1]):
-        return frontier_gamma_c(g)
-    s = _minimum_cds(g, False, tables)[0]
+    s = _small_cds(g)
+    if not s:
+        tables = _cds_tables(g)
+        if 3 ** _frontier_width(g) < comb(g.n, tables[-1]):
+            return frontier_gamma_c(g)
+        s = _search_cds(g, tables)
     return _checked(g, DominationCertificate(s.bit_count(), s, METHOD_SUBSET))
 
 
@@ -450,9 +469,7 @@ def bfs_tree_cds(g: Graph) -> DominationCertificate:
     Always a connected dominating set of size at most n - Delta; an upper
     bound for the connected domination number, not necessarily tight.
     """
-    _require_connected(g)
-    if g.n < 2:
-        raise ValueError("needs at least two vertices")
+    _require_cds_input(g)
     _, _, root = degree_stats(g)
     adj = g.adj
     seen = 1 << root

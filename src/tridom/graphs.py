@@ -198,7 +198,7 @@ def enumerate_connected_sets(g: Graph, max_size: int, visitor: Callable[[int], o
     neighbors not already forbidden, so no global dedup structure is needed.
 
     The visitor receives the set as a bitmask and may return PRUNE to stop
-    growing the current set, or STOP (or True) to abort the enumeration.
+    growing the current set, or STOP to abort the enumeration.
     Returns the number of sets visited.
     """
     if max_size < 1:
@@ -210,7 +210,7 @@ def enumerate_connected_sets(g: Graph, max_size: int, visitor: Callable[[int], o
         nonlocal count
         count += 1
         verdict = visitor(s)
-        if verdict == STOP or verdict is True:
+        if verdict == STOP:
             raise _Stop
         if verdict == PRUNE or size == max_size:
             return

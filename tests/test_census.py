@@ -83,6 +83,9 @@ def test_compare_reference_flags_rows_without_oracle():
 
 
 def test_census_deterministic_across_worker_counts():
+    """Rows agree for 1, 2 and 8 workers.  Records agree field for field on
+    orders 5..10: order 10 has 233 classes, enough for its level to go to a
+    pool of two workers."""
     rows1 = run_census(5, 8, workers=1)
     rows2 = run_census(5, 8, workers=2)
     rows8 = run_census(5, 8, workers=8)
@@ -90,10 +93,15 @@ def test_census_deterministic_across_worker_counts():
         assert a.same_counts(b)
     for a, b in zip(rows1, rows8):
         assert a.same_counts(b)
-    _, recs1 = census_records(5, 8, workers=1)
-    _, recs2 = census_records(5, 8, workers=2)
-    assert [(r.n, r.code, r.gamma_c) for r in recs1] == \
-        [(r.n, r.code, r.gamma_c) for r in recs2]
+
+    def fields(records):
+        return [(r.n, r.code, r.gamma_c, r.gamma_c_witness, r.method, r.Delta)
+                for r in records]
+
+    _, recs1 = census_records(5, 10, workers=1)
+    _, recs2 = census_records(5, 10, workers=2)
+    assert len(recs2) == 305
+    assert fields(recs2) == fields(recs1)
 
 
 def test_verify_corpus_clean(census_default):
@@ -201,14 +209,16 @@ def _corrupt_first_label(code: str) -> str:
     ("code", _corrupt_first_label, "code is not a triangulation"),
     ("code", lambda code: code[:-2], "unterminated rotation block in code"),
     ("n", lambda n: n + 1, "code has order 9"),
+    ("Delta", lambda delta: 99, "Delta 99 is not the largest degree 5"),
+    ("method", lambda method: "bogus", "method 'bogus' is not one that classify emits"),
     ("witness", lambda w: w[:-1], "witness is not a connected dominating set of size gamma_c"),
     ("gamma", lambda gamma: 4, "gamma 4 exceeds gamma_c 3"),
     ("gamma", lambda gamma: gamma - 1, "gamma_witness is not a dominating set of size gamma"),
     ("gamma_witness", lambda w: w[:-1] + [77], "set mentions vertices outside the graph"),
 ])
 def test_json_records_are_checked_on_load(census_default, field, corrupt, message):
-    """A record whose code, order, witness or gamma fields are wrong is
-    refused on load, with its n and code; the uncorrupted record loads."""
+    """A record whose code, order, Delta, method, witness or gamma fields are
+    wrong is refused on load, with its n and code; the uncorrupted record loads."""
     _, records = census_default
     rec = next(r for r in records if r.n == 9 and r.gamma_c == 3)
     gamma = exact_gamma(rec.graph())

@@ -7,7 +7,7 @@ from tridom import cli, domination
 from tridom.cli import main
 from tridom.graphs import Graph, graph6_read, graph6_write
 from tridom.planar import Triangulation, planar_code_read, planar_code_write, underlying_graph
-from tridom.families import icosahedron, octahedron
+from tridom.families import family, icosahedron, octahedron
 from tridom.generate import triangulations
 
 
@@ -102,12 +102,12 @@ def test_solve_reports_a_failed_witness_check_per_record(tmp_path, capsys, monke
     """An AssertionError from a solver's witness check fails its record only:
     the records before and after it are answered, no traceback is printed,
     and the exit status is 1."""
-    def classify_failing_on_order_12(t, _classify=cli.classify):
-        if t.n == 12:
+    def solver_failing_on_order_12(g, _solve=cli.exact_gamma_c):
+        if g.n == 12:
             raise AssertionError("subset-search returned no connected dominating set of size 4")
-        return _classify(t)
+        return _solve(g)
 
-    monkeypatch.setattr(cli, "classify", classify_failing_on_order_12)
+    monkeypatch.setattr(cli, "exact_gamma_c", solver_failing_on_order_12)
     inp = tmp_path / "oc_ico_oc.plc"
     inp.write_bytes(planar_code_write([octahedron(), icosahedron(), octahedron()]))
     assert main(["solve", "--input", str(inp)]) == 1
@@ -143,6 +143,32 @@ def test_solve_reports_a_failed_graph6_witness_check_per_record(tmp_path, capsys
         assert third["index"] == 2 and third["gamma"] == 1
         assert err == ""
         monkeypatch.setattr(cli, "exact_gamma_c", lambda g: answers[g.n])
+
+
+def test_solve_prints_the_same_line_for_both_formats(tmp_path, capsys):
+    """planar_code and graph6 copies of a graph take one route and print the
+    same line.  The octahedron and the order-8 class have Δ = n-2, which the
+    census answers by its degree shortcut; solve answers them by subset search."""
+    near_apex = next(t for t in triangulations(8) if max(map(len, t.rot)) == 6)
+    ts = [octahedron(), icosahedron(), family("A", 10), near_apex]
+    plc = tmp_path / "four.plc"
+    plc.write_bytes(planar_code_write(ts))
+    g6 = tmp_path / "four.g6"
+    g6.write_text("".join(graph6_write(underlying_graph(t)) + "\n" for t in ts))
+    assert main(["solve", "--gamma", "--input", str(plc)]) == 0
+    from_plc = capsys.readouterr().out
+    assert main(["solve", "--gamma", "--format", "graph6", "--input", str(g6)]) == 0
+    assert capsys.readouterr().out == from_plc
+    assert [(rec["gamma_c"], rec["method"]) for rec in map(json.loads, from_plc.splitlines())] \
+        == [(2, "subset-search"), (4, "subset-search"), (10, "frontier-dp"), (2, "subset-search")]
+
+
+def test_solve_planar_code_reaches_the_frontier_dp(tmp_path, capsys):
+    inp = tmp_path / "a14.plc"
+    inp.write_bytes(planar_code_write([family("A", 14)]))
+    assert main(["solve", "--input", str(inp)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["gamma_c"], rec["method"]) == (14, "frontier-dp")
 
 
 def test_solve_rejects_non_triangulation_and_answers_the_rest(tmp_path, capsys):

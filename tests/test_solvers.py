@@ -471,6 +471,38 @@ def test_search_tables_are_built_only_from_gamma_c_4(monkeypatch, levels_to_11):
     assert sorted(set(calls)) == ["_distance_balls", "enumerate_connected_sets"]
 
 
+def test_exact_gamma_c_scans_before_building_tables(monkeypatch, levels_to_11):
+    """exact_gamma_c answers gamma_c <= 3 by the scans alone: with _cds_tables
+    raising, every class of orders 5..10 and K_n are still answered, by
+    subset search, while the icosahedron (gamma_c = 4) reaches the tables."""
+    def no_tables(g):
+        raise RuntimeError("search tables built")
+
+    monkeypatch.setattr(domination, "_cds_tables", no_tables)
+    graphs = [underlying_graph(t) for n in range(5, 11) for t in levels_to_11[n]]
+    for g in graphs + [Graph.complete(6)]:
+        cert = exact_gamma_c(g)
+        assert cert.value <= 3 and cert.method == METHOD_SUBSET
+    with pytest.raises(RuntimeError, match="search tables built"):
+        exact_gamma_c(underlying_graph(icosahedron()))
+
+
+def test_exact_gamma_c_subset_answers_are_subset_gamma_cs(levels_to_11):
+    """Wherever exact_gamma_c answers by subset search, its certificate is
+    subset_gamma_c's, for gamma_c <= 3 (the scans) and above (the search)."""
+    graphs = [underlying_graph(t) for n in range(5, 11) for t in levels_to_11[n]]
+    rng = random.Random(43)
+    graphs += [random_connected_graph(rng, rng.randint(2, 14), rng.choice((0.15, 0.25, 0.5)))
+               for _ in range(300)]
+    searched = {"scans": 0, "search": 0}
+    for g in graphs:
+        cert = exact_gamma_c(g)
+        if cert.method == METHOD_SUBSET:
+            assert cert == subset_gamma_c(g)
+            searched["scans" if cert.value <= 3 else "search"] += 1
+    assert searched["search"] >= 10, searched
+
+
 def test_packing_prune_cuts_the_chain_search(monkeypatch):
     visited = []
 
