@@ -6,10 +6,11 @@ Three routes to the connected domination number are provided:
   it directly): direct scans for sizes 1 to 3, then iterative deepening
   over connected vertex sets, with admissible pruning (distance
   reachability and a 2-packing of the vertices left undominated);
-* ``frontier_gamma_c`` - a dynamic program over the label order's frontier,
-  for thin graphs such as the extremal constructions (a path-decomposition
-  DP with connectivity states, after Bodlaender, Cygan, Kratsch and
-  Nederlof, Inf. Comput. 2015);
+* ``frontier_gamma_c`` - a dynamic program over the frontier of a narrow
+  vertex order chosen per graph (``_dp_order``), for thin graphs such as
+  the extremal constructions, however they are labelled (a
+  path-decomposition DP with connectivity states, after Bodlaender, Cygan,
+  Kratsch and Nederlof, Inf. Comput. 2015);
 * ``gamma_c_by_contraction`` - the verifier, used to cross-check stored
   values (``census.verify_corpus``): iterative deepening over connected
   acyclic edge sets, contracting each candidate set edge by edge and testing
@@ -20,19 +21,30 @@ Three routes to the connected domination number are provided:
 input format.  It runs the subset search's scans of sizes 1 to 3 (below)
 first; only when they fail does it build the search tables and pick one of
 the first two routes.  With k0 the subset search's first size and w the
-label order's frontier width, it runs the DP iff 3**w < comb(n, k0): the
-DP's unlabelled state space against the candidate sets of the search's
-first level.  Otherwise it deepens the subset search on the same tables, so
-its subset-search answers are ``subset_gamma_c``'s.  ``classify`` does not
-route: on census classes the DP is about 16 times slower than subset search
-(order 11, frontiers of 3 to 7 vertices: 1.8 s against 0.11 s).
+width of ``_dp_order``'s order, it runs the DP on that order iff 3**w <
+comb(n, k0): the DP's unlabelled state space against the candidate sets of
+the search's first level.  The order is searched only below that width, so
+a graph headed for the search pays a few greedy steps at most.  Otherwise it
+deepens the subset search on the same tables, so its subset-search answers
+are ``subset_gamma_c``'s.  ``classify`` does not route: on census classes
+the DP is about 100 times slower than subset search (the 1,249 classes of
+order 11, frontiers of 3 to 5 vertices: 1.0 s against 0.01 s).
 
-Soundness of the frontier DP: vertices are taken in label order, and the
-frontier is the processed vertices that still have an unprocessed
-neighbour, so every processed neighbour of the next vertex v is on it.  A
-state gives each frontier vertex 0 (undominated), 1 (dominated) or the label
-of its component of S restricted to the processed vertices, labels numbered
-by first appearance, so equal partial solutions share a state.  Taking v
+The order: vertex separation equals pathwidth (Kinnersley, Inf. Process.
+Lett. 1992), so a thin graph has a narrow order whatever its labels.
+``_dp_order`` keeps the label order unless a greedy order from one of seven
+starts is strictly narrower.  Families A and B get width 4 and 5 (7 in the
+built labelling) and the icosahedron chains 6 or 7 (8 or 9).  Ten seeded
+relabellings of A100 and of ``icosa_chain(30)`` get 4 and 9 to 12, where
+their label orders are 173 to 208 wide.
+
+Soundness of the frontier DP: it runs on g relabelled by ``_dp_order``'s
+order, so vertices are taken in that order, and the frontier is the
+processed vertices that still have an unprocessed neighbour, so every
+processed neighbour of the next vertex v is on it.  A state gives each
+frontier vertex 0 (undominated), 1 (dominated) or the label of its
+component of S restricted to the processed vertices, labels numbered by
+first appearance, so equal partial solutions share a state.  Taking v
 into S marks its undominated frontier neighbours dominated and merges the
 components of its S neighbours with v; leaving v out marks v dominated iff
 it has an S neighbour.  Forget rule: a vertex that leaves the frontier (its
@@ -45,8 +57,9 @@ So the completed states are exactly the connected dominating sets.  Each
 state keeps the least (|S|, S); the order is total and a state's future
 does not depend on how it was reached, so the least value at the end is
 gamma_c and its set is the least minimum connected dominating set in that
-order.  The witness is re-checked (size, domination, connectivity) before
-it is returned.
+order, read in the relabelled graph.  The witness is mapped back to g's
+labels and re-checked there (size, domination, connectivity) before it is
+returned.
 
 Correctness of the contraction route: contracting a spanning tree of a
 minimum connected dominating set (k = value-1 edges) merges it into a vertex
@@ -111,6 +124,7 @@ from .graphs import (
     induces_connected,
     is_connected,
     is_dominating,
+    vset,
 )
 from .planar import Triangulation, underlying_graph
 
@@ -349,31 +363,74 @@ def subset_gamma_c(g: Graph) -> DominationCertificate:
     return DominationCertificate(s.bit_count(), s, METHOD_SUBSET)
 
 
-def _frontier_width(g: Graph) -> int:
-    """Most processed vertices with an unprocessed neighbour, over the label order."""
-    leaving = [0] * g.n
-    for v, m in enumerate(g.adj):
+def _dp_order(g: Graph, cap: int) -> Tuple[int, List[int]]:
+    """(width, order): a vertex order for the frontier DP and its width, the
+    most processed vertices with an unprocessed neighbour after any step.
+
+    The label order is the incumbent.  Greedy orders grow from the
+    maximum-degree vertex and from the six vertices of least degree: each
+    step takes the border vertex that leaves the fewest processed vertices
+    with an unprocessed neighbour, then the one with fewer unprocessed
+    neighbours, then the lower label.  A greedy order replaces the incumbent
+    only when strictly narrower, and a start is dropped once its width
+    reaches the incumbent's or cap.  No order is narrower than the minimum
+    degree, a lower bound on the pathwidth, so at that width none is grown.
+    """
+    n, adj = g.n, g.adj
+    leaving = [0] * n
+    for v, m in enumerate(adj):
         leaving[max(v, m.bit_length() - 1)] += 1
     width = live = 0
-    for v in range(g.n):
+    for v in range(n):
         live += 1 - leaving[v]
         width = max(width, live)
-    return width
+    best = (width, list(range(n)))
+    degs = g.degrees()
+    if min(degs) >= min(width, cap):
+        return best
+    for s in dict.fromkeys([degs.index(max(degs)), *sorted(range(n), key=degs.__getitem__)[:6]]):
+        done, order, rem, width = 1 << s, [s], [adj[s]], 1  # rem: the frontier's unprocessed neighbours
+        while len(order) < n and width < min(best[0], cap):
+            border = 0
+            for m in rem:
+                border |= m
+            singles = [m for m in rem if not m & m - 1]
+            v = min(bits(border), key=lambda v: (bool(adj[v] & ~done) - singles.count(1 << v),
+                                                  (adj[v] & ~done).bit_count()))
+            lo = 1 << v
+            out = adj[v] & ~done
+            done |= lo
+            rem = [m & ~lo for m in rem if m != lo] + [out] * bool(out)
+            width = max(width, len(rem))
+            order.append(v)
+        if width < min(best[0], cap):
+            best = (width, order)
+    return best
 
 
 def frontier_gamma_c(g: Graph) -> DominationCertificate:
-    """Minimum connected dominating set by dynamic programming over the label order.
+    """Minimum connected dominating set by dynamic programming over ``_dp_order``'s order.
+
+    The witness is the least minimum connected dominating set in that order,
+    mapped back to g's labels and checked there.
+    """
+    _require_cds_input(g)
+    width, order = _dp_order(g, FRONTIER_MAX + 1)
+    if width > FRONTIER_MAX:
+        raise ValueError(f"the frontier DP takes frontiers of at most {FRONTIER_MAX} vertices")
+    return _frontier_dp(g, order)
+
+
+def _frontier_dp(g: Graph, order: List[int]) -> DominationCertificate:
+    """The DP on g relabelled by order; its witness, least in that order, mapped back and checked.
 
     A state is one byte per frontier vertex: 0 undominated, 1 dominated, or
     a component label >= 2 for a vertex in S, numbered by first appearance.
     It keeps the least (|S|, S), packed as |S| << n | S.
     """
-    _require_cds_input(g)
     n = g.n
-    if _frontier_width(g) > FRONTIER_MAX:
-        raise ValueError(f"the frontier DP takes label-order frontiers of at most"
-                         f" {FRONTIER_MAX} vertices")
-    adj = g.adj
+    pos = {v: i for i, v in enumerate(order)}
+    adj = [vset(pos[u] for u in bits(g.adj[v])) for v in order]
     # leave[u]: the step after which u has no unprocessed neighbour
     leave = [max(u, m.bit_length() - 1) for u, m in enumerate(adj)]
     merged = 255  # the label of v's component before normalising
@@ -389,25 +446,25 @@ def frontier_gamma_c(g: Graph) -> DominationCertificate:
         add = one | 1 << v
         nxt: Dict[bytes, int] = {}
         for st, val in layer.items():
-            joined = {st[i] for i in near if st[i] > 1}
             s = list(st)
+            joined = set()
             for i in near:
-                if s[i] == 0:
+                if s[i] > 1:
+                    joined.add(s[i])
+                else:
                     s[i] = 1
             if joined:
                 s = [merged if x in joined else x for x in s]
             s.append(merged)
             for full, cost in ((st + (b"\1" if joined else b"\0"), val), (s, val + add)):
-                if any(full[i] == 0 for i in gone):
-                    continue  # a vertex left the frontier undominated
                 if last:
-                    if len({x for x in full if x > 1}) != 1:
-                        continue  # S did not close into one component
+                    if 0 in full or len(set(full) - {1}) != 1:
+                        continue  # a vertex ends undominated, or S is not one component
                     key = b""
                 else:
                     rest = [full[i] for i in keep]
-                    if any(full[i] > 1 and full[i] not in rest for i in gone):
-                        continue  # a component left the frontier before the end
+                    if any(full[i] == 0 or full[i] > 1 and full[i] not in rest for i in gone):
+                        continue  # a vertex left undominated, or a component left before the end
                     labels: Dict[int, int] = {}
                     key = bytes([x if x < 2 else labels.setdefault(x, len(labels) + 2)
                                  for x in rest])
@@ -416,7 +473,7 @@ def frontier_gamma_c(g: Graph) -> DominationCertificate:
                     nxt[key] = cost
         frontier = [frontier[i] for i in keep]
         layer = nxt
-    value, witness = layer[b""] >> n, layer[b""] & (one - 1)
+    value, witness = layer[b""] >> n, vset(order[i] for i in bits(layer[b""] & (one - 1)))
     return _checked(g, DominationCertificate(value, witness, METHOD_FRONTIER))
 
 
@@ -441,18 +498,25 @@ def exact_gamma_c(g: Graph) -> DominationCertificate:
     """Minimum connected dominating set, by the route the input favours.
 
     Sizes 1 to 3 are scanned first, as in ``subset_gamma_c``.  Only when the
-    scans fail are the search tables built; then the frontier DP runs iff
-    3**w < comb(n, k0), w the label order's frontier width and k0 the subset
-    search's first size, and otherwise subset search deepens on those tables.
-    So every subset-search answer is ``subset_gamma_c``'s.  Either route's
-    witness is checked before it is returned.
+    scans fail are the search tables built; then the frontier DP runs on
+    ``_dp_order``'s order iff 3**w < comb(n, k0), w that order's width and k0
+    the subset search's first size, and otherwise subset search deepens on
+    those tables.  The order is searched once, capped at the least w that
+    fails the rule, and handed to the DP, whose witness is the least minimum
+    set in that order, mapped back.  So every subset-search answer is
+    ``subset_gamma_c``'s.  Either route's witness is checked before it is
+    returned.
     """
     _require_cds_input(g)
     s = _small_cds(g)
     if not s:
         tables = _cds_tables(g)
-        if 3 ** _frontier_width(g) < comb(g.n, tables[-1]):
-            return frontier_gamma_c(g)
+        cap, first = 0, comb(g.n, tables[-1])
+        while 3 ** cap < first and cap <= FRONTIER_MAX:
+            cap += 1  # the least w with 3**w >= comb(n, k0), or FRONTIER_MAX + 1
+        width, order = _dp_order(g, cap)
+        if width < cap:
+            return _frontier_dp(g, order)
         s = _search_cds(g, tables)
     return _checked(g, DominationCertificate(s.bit_count(), s, METHOD_SUBSET))
 

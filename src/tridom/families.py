@@ -16,7 +16,8 @@ The icosahedron chain glues k icosahedra along outer-face edges so that all
 copies share one vertex, then triangulates the outer hole with a fan of
 chords.  Consecutive copies meet the rest only in the shared vertex, w1 and
 the previous copy's w, so the chain is thin and ``exact_gamma_c`` solves it
-with the frontier DP.  Chain law, measured for k = 2..30: gamma = k + 1
+with the frontier DP, on the vertex order ``domination._dp_order`` finds
+(width 6 or 7 here, 8 or 9 in the built labelling).  Chain law, measured for k = 2..30: gamma = k + 1
 (the shared vertex and one interior vertex per copy) and
 gamma_c = ceil(5k/2) + 1, so the gap gamma_c - gamma = ceil(3k/2)
 (3, 5, 6, 8, ..., 45 at k = 30) grows with k over that whole range.  The

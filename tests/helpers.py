@@ -185,6 +185,16 @@ def reference_gamma(g: Graph) -> Tuple[int, int]:
     return value, witness
 
 
+def order_width(g: Graph, order: Iterable[int]) -> int:
+    """Vertex separation of a vertex order, from the definition: the most
+    vertices of a prefix that have a neighbour outside it."""
+    width = done = 0
+    for v in order:
+        done |= 1 << v
+        width = max(width, sum(1 for u in bits(done) if g.adj[u] & ~done))
+    return width
+
+
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
     while True:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import given, strategies as st
 from tridom import cli, domination
 from tridom.cli import main
 from tridom.graphs import Graph, graph6_read, graph6_write
-from tridom.planar import Triangulation, planar_code_read, planar_code_write, underlying_graph
+from tridom.planar import (Triangulation, planar_code_read, planar_code_write, relabel,
+                           underlying_graph)
 from tridom.families import family, icosahedron, octahedron
 from tridom.generate import triangulations
 
@@ -169,6 +171,19 @@ def test_solve_planar_code_reaches_the_frontier_dp(tmp_path, capsys):
     assert main(["solve", "--input", str(inp)]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert (rec["gamma_c"], rec["method"]) == (14, "frontier-dp")
+
+
+def test_solve_graph6_of_a_relabelled_member_reaches_the_frontier_dp(tmp_path, capsys):
+    """This relabelling of A30 is 62 wide in label order; solve still answers
+    it by the DP, on the narrow order it finds."""
+    a30 = family("A", 30)
+    perm = list(range(a30.n))
+    random.Random(7).shuffle(perm)
+    inp = tmp_path / "a30.g6"
+    inp.write_text(graph6_write(underlying_graph(relabel(a30, perm))) + "\n")
+    assert main(["solve", "--format", "graph6", "--input", str(inp)]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["gamma_c"], rec["method"]) == (30, "frontier-dp")
 
 
 def test_solve_rejects_non_triangulation_and_answers_the_rest(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+import tridom as td
 from tridom import domination
 from tridom.domination import (
     METHOD_BFS_TREE,
@@ -31,14 +33,16 @@ from tridom.graphs import (
     is_dominating,
     vset,
 )
-from tridom.planar import Triangulation, underlying_graph
+from tridom.planar import Triangulation, relabel, underlying_graph
 from tridom.families import family, icosa_chain, icosahedron, octahedron
 
 from helpers import (
     brute_gamma,
     brute_gamma_c,
     brute_minimum_dominating_sets,
+    order_width,
     random_connected_graph,
+    random_permutation,
     reference_gamma,
     reference_minimum_cds,
 )
@@ -356,17 +360,18 @@ def test_exact_solvers_recheck_their_witnesses(monkeypatch):
     """exact_gamma_c's subset route and exact_gamma check the witness they
     return: a search that hands back vertex 0 alone, or closed neighbourhoods
     that make vertex 0 look universal, raise AssertionError instead of
-    answering 1."""
-    a5 = underlying_graph(family("A", 5))
-    assert exact_gamma_c(a5).method == METHOD_SUBSET
+    answering 1.  The icosahedron (gamma_c 4, k0 = 2, so comb = 66 against
+    3**w >= 81) is one graph that exact_gamma_c sends to the search."""
+    ico = underlying_graph(icosahedron())
+    assert exact_gamma_c(ico).method == METHOD_SUBSET
     with monkeypatch.context() as m:
         m.setattr(domination, "_minimum_cds", lambda g, collect_all, tables, k_min=1: [1])
         with pytest.raises(AssertionError,
                            match="subset-search returned no connected dominating set of size 1"):
-            exact_gamma_c(a5)
+            exact_gamma_c(ico)
     monkeypatch.setattr(domination, "_closed", lambda g: [g.full] * g.n)
     with pytest.raises(AssertionError, match="subset-search returned no dominating set of size 1"):
-        exact_gamma(a5)
+        exact_gamma(ico)
 
 
 def test_classify_octahedron_uses_shortcut():
@@ -489,11 +494,16 @@ def test_exact_gamma_c_scans_before_building_tables(monkeypatch, levels_to_11):
 
 def test_exact_gamma_c_subset_answers_are_subset_gamma_cs(levels_to_11):
     """Wherever exact_gamma_c answers by subset search, its certificate is
-    subset_gamma_c's, for gamma_c <= 3 (the scans) and above (the search)."""
+    subset_gamma_c's, for gamma_c <= 3 (the scans) and above (the search).
+    The search answers the five order-12 classes with gamma_c = 4 (the
+    icosahedron among them) and many denser random graphs."""
     graphs = [underlying_graph(t) for n in range(5, 11) for t in levels_to_11[n]]
+    graphs += [underlying_graph(t) for n, level in td.levels(12) if n == 12
+               for t in level.values() if classify(t).value == 4]
     rng = random.Random(43)
     graphs += [random_connected_graph(rng, rng.randint(2, 14), rng.choice((0.15, 0.25, 0.5)))
                for _ in range(300)]
+    graphs += [random_connected_graph(rng, rng.randint(12, 18), 0.3) for _ in range(60)]
     searched = {"scans": 0, "search": 0}
     for g in graphs:
         cert = exact_gamma_c(g)
@@ -518,8 +528,12 @@ def test_packing_prune_cuts_the_chain_search(monkeypatch):
 
 def test_frontier_dp_agrees_with_subset_search(levels_to_11):
     """Same value as subset search, with a verified witness, on every class
-    of orders 5..10, on random connected graphs and on chains 2 and 3."""
-    graphs = [underlying_graph(t) for n in range(5, 11) for t in levels_to_11[n]]
+    of orders 5..10 and a random relabelling of each, on random connected
+    graphs and on chains 2 and 3."""
+    classes = [t for n in range(5, 11) for t in levels_to_11[n]]
+    graphs = [underlying_graph(t) for t in classes]
+    shuffle = random.Random(59)
+    graphs += [underlying_graph(relabel(t, random_permutation(shuffle, t.n))) for t in classes]
     rng = random.Random(41)
     graphs += [random_connected_graph(rng, rng.randint(2, 12), rng.choice((0.2, 0.3, 0.5)))
                for _ in range(200)]
@@ -553,16 +567,29 @@ def test_frontier_dp_family_values_to_100():
 
 
 def test_exact_gamma_c_routes_by_frontier_width():
-    """The DP runs iff 3**w < comb(n, k0): thin chains go to it, small or dense graphs not."""
+    """The DP runs iff 3**w < comb(n, k0), w the width of _dp_order's order:
+    thin members go to it however they are labelled, and A5 too (w = 4,
+    81 < comb(15, 3) = 455); K6 (answered by the scans) and the icosahedron
+    (w >= its minimum degree 5, comb(12, 2) = 66) do not."""
+    a30 = family("A", 30)
     routed = {
+        "A5": underlying_graph(family("A", 5)),
         "A10": underlying_graph(family("A", 10)),
         "chain3": underlying_graph(icosa_chain(3)),
-        "A5": underlying_graph(family("A", 5)),
+        "A30 relabelled": underlying_graph(relabel(a30, random_permutation(random.Random(3), a30.n))),
         "K6": Graph.complete(6),
+        "icosahedron": underlying_graph(icosahedron()),
     }
     methods = {name: exact_gamma_c(g).method for name, g in routed.items()}
-    assert methods == {"A10": METHOD_FRONTIER, "chain3": METHOD_FRONTIER,
-                       "A5": METHOD_SUBSET, "K6": METHOD_SUBSET}
+    assert methods == {"A5": METHOD_FRONTIER, "A10": METHOD_FRONTIER, "chain3": METHOD_FRONTIER,
+                       "A30 relabelled": METHOD_FRONTIER,
+                       "K6": METHOD_SUBSET, "icosahedron": METHOD_SUBSET}
+    for name, g in routed.items():
+        width = domination._dp_order(g, domination.FRONTIER_MAX + 1)[0]
+        if name != "K6":
+            assert (3 ** width < comb(g.n, domination._cds_tables(g)[-1])) \
+                == (methods[name] == METHOD_FRONTIER), name
+    assert order_width(routed["A30 relabelled"], range(90)) > 50  # the label order is wide
 
 
 def test_frontier_dp_rejects_what_it_cannot_encode():
@@ -572,3 +599,44 @@ def test_frontier_dp_rejects_what_it_cannot_encode():
         frontier_gamma_c(Graph(2, [0, 0]))
     with pytest.raises(ValueError, match="two vertices"):
         frontier_gamma_c(Graph(1, [0]))
+
+
+def test_dp_order_is_a_permutation_of_its_width(levels_to_11):
+    """_dp_order returns a vertex order and its width, recomputed here from
+    the definition; it is never wider than the label order, and it is the
+    label order itself unless strictly narrower.  A cap at or below the
+    minimum degree returns the label order without growing one."""
+    rng = random.Random(53)
+    graphs = [underlying_graph(t) for n in range(5, 11) for t in levels_to_11[n]]
+    graphs += [random_connected_graph(rng, rng.randint(2, 16), rng.choice((0.15, 0.3, 0.6)))
+               for _ in range(200)]
+    for t in (family("A", 12), family("B", 12), icosa_chain(3)):
+        graphs += [underlying_graph(t), underlying_graph(relabel(t, random_permutation(rng, t.n)))]
+    narrower = 0
+    for g in graphs:
+        width, order = domination._dp_order(g, domination.FRONTIER_MAX + 1)
+        assert sorted(order) == list(range(g.n))
+        assert width == order_width(g, order)
+        label = order_width(g, range(g.n))
+        assert width <= label
+        assert (order == list(range(g.n))) == (width == label)
+        narrower += width < label
+        assert domination._dp_order(g, min(g.degrees())) == (label, list(range(g.n)))
+    assert narrower >= len(graphs) // 2
+
+
+@pytest.mark.parametrize("which, k", [("A", 30), ("A", 100), ("B", 30), ("B", 100),
+                                      ("chain", 4), ("chain", 10)])
+def test_relabelled_members_reach_the_frontier_dp(which, k):
+    """Seeded relabellings of the extremal members keep a narrow order (at
+    most 5 for A and B, 10 for chains) and get their law's value from the
+    DP: gamma_c = k for A and B, ceil(5k/2) + 1 for chains."""
+    t = icosa_chain(k) if which == "chain" else family(which, k)
+    want, most = ((5 * k + 1) // 2 + 1, 10) if which == "chain" else (k, 5)
+    for seed in (1, 2):
+        g = underlying_graph(relabel(t, random_permutation(random.Random(seed), t.n)))
+        assert domination._dp_order(g, domination.FRONTIER_MAX + 1)[0] <= most
+        cert = exact_gamma_c(g)
+        assert (cert.value, cert.method) == (want, METHOD_FRONTIER)
+        assert is_dominating(g, cert.witness) and induces_connected(g, cert.witness)
+
