@@ -9,10 +9,48 @@ climbs by 1.  The icosahedron chains open a gap between gamma and gamma_c:
 gamma = k + 1 and gamma_c = ceil(5k/2) + 1, so the gap is ceil(3k/2)
 (3, 5, 6, 8, ... for k = 2, 3, 4, 5, ...).  The law was measured for
 k = 2..30; exact_gamma_c solves these chains with the frontier DP, so the
-walk below runs to k = 8 in about a second.
+walk below runs to k = 8 in about a second.  The sum reports are defined
+here: the package builds members without solving them.
 """
 
+from dataclasses import dataclass
+from typing import Optional
+
 import tridom as td
+from tridom.domination import all_minimum_cds
+from tridom.planar import Face, Triangulation, is_face
+
+
+@dataclass(frozen=True)
+class SumReport:
+    """How one octahedron sum moved the connected domination number.
+
+    face_hits is the largest overlap between the chosen face and any minimum
+    connected dominating set of the base.  Overlap 0 predicts an increment
+    of 2 and overlap 1 an increment of 1; larger overlaps carry no
+    prediction and consistent is None.
+    """
+    base_value: int
+    summed_value: int
+    face_hits: int
+    predicted_increment: Optional[int]
+    observed_increment: int
+    consistent: Optional[bool]
+
+
+def octahedron_sum_report(t: Triangulation, f: Face) -> SumReport:
+    if not is_face(t, f):
+        raise ValueError(f"{f} is not a face")
+    g = td.underlying_graph(t)
+    fmask = (1 << f[0]) | (1 << f[1]) | (1 << f[2])
+    minima = all_minimum_cds(g)
+    hits = max((s & fmask).bit_count() for s in minima)
+    base = minima[0].bit_count()
+    summed = td.classify(td.octahedron_sum(t, f)).value
+    predicted = {0: 2, 1: 1}.get(hits)
+    observed = summed - base
+    consistent = (observed == predicted) if predicted is not None else None
+    return SumReport(base, summed, hits, predicted, observed, consistent)
 
 
 def family_walk(which: str, k_max: int) -> None:
@@ -22,7 +60,7 @@ def family_walk(which: str, k_max: int) -> None:
           f"gamma_c={td.exact_gamma_c(g).value}, designated face {site}")
     k = 3
     while k < k_max:
-        rep = td.octahedron_sum_report(t, site)
+        rep = octahedron_sum_report(t, site)
         if rep.predicted_increment is None:
             verdict = "no prediction for overlap >= 2"
         else:
@@ -30,9 +68,7 @@ def family_walk(which: str, k_max: int) -> None:
                        + ("matches" if rep.consistent else "MISMATCH"))
         print(f"  sum on {site}: face meets minimum sets {rep.face_hits}x, "
               f"gamma_c {rep.base_value} -> {rep.summed_value} ({verdict})")
-        prev = t
-        t = td.octahedron_sum(t, site)
-        site = td.new_triangle(prev)
+        t, site = td.octahedron_sum(t, site), (t.n, t.n + 1, t.n + 2)
         k += 1
     print(f"  final member: n={t.n} = 3*{k}, gamma_c={td.exact_gamma_c(td.underlying_graph(t)).value}")
 

@@ -120,8 +120,12 @@ class CensusRecord:
         must be a connected dominating set of size gamma_c, its method one
         that ``classify`` emits, and gamma_witness, if there is one, a
         dominating set of size gamma <= gamma_c.  Raises ValueError naming
-        the record otherwise."""
+        the record otherwise, also for a missing field, a field of the wrong
+        type or a record that is not an object."""
         try:
+            for key in ("n", "gamma_c", "Delta", "gamma"):
+                if key in d and type(d[key]) is not int:
+                    raise TypeError(f"{key} {d[key]!r} is not an integer")
             code = bytes.fromhex(d["code"])
             t = triangulation_from_code(code)
             report = verify_triangulation(t)
@@ -146,8 +150,8 @@ class CensusRecord:
                 if not _is_witness(g, d["gamma"], gamma_witness, connected=False):
                     raise ValueError("gamma_witness is not a dominating set of size gamma")
                 gamma_cert = DominationCertificate(d["gamma"], gamma_witness, METHOD_SUBSET)
-        except ValueError as exc:
-            raise ValueError(f"record n={d['n']} code={d['code']}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _load_error("record", d, exc, "n", "code") from exc
         return cls(d["n"], code, t.rot, d["gamma_c"], witness, d["method"], d["Delta"],
                    gamma_cert)
 
@@ -203,12 +207,6 @@ def census_records(n_min: int = 5, n_max: int = 11, workers: int = 1,
         rows.append(CensusRow(n, len(level), counts, t1 - t0))
         t0 = t1
     return rows, records
-
-
-def run_census(n_min: int = 5, n_max: int = 11, workers: int = 1) -> List[CensusRow]:
-    """Per-order counts of triangulations by connected domination number."""
-    rows, _ = census_records(n_min, n_max, workers)
-    return rows
 
 
 def levels_from_planar_code(data: bytes) -> List[Tuple[int, Dict[bytes, Triangulation]]]:
@@ -274,12 +272,14 @@ def verify_corpus(records: Iterable[CensusRecord], cross_solver_max_n: int = 10,
                   ) -> CorpusReport:
     """Re-verify the structural properties every census graph must satisfy.
 
-    Per graph: gamma <= gamma_c; gamma_c <= n - Delta with the spanning-tree
-    bound witnessed by an actual connected dominating set; gamma_c at most
-    floor(n/3) for 9 <= n <= 13; max degree n-4 forces gamma_c in {2, 3} for
-    n <= 13; and, up to cross_solver_max_n, agreement of the stored value
-    with the contraction route, which shares no code with the subset search
-    that ``classify`` runs.
+    Per graph, besides the stored witness, three checks are theorems and
+    hold for every triangulation: gamma <= gamma_c; gamma_c <= n - Delta,
+    with the spanning-tree bound witnessed by an actual connected dominating
+    set; and, up to cross_solver_max_n, agreement of the stored value with
+    the contraction route, which shares no code with the subset search that
+    ``classify`` runs.  Two are observations, measured on the census and
+    checked only where they were measured: gamma_c <= floor(n/3) for
+    9 <= n <= 13, and max degree n-4 forcing gamma_c in {2, 3} for n <= 13.
     """
     report = CorpusReport()
 
@@ -378,10 +378,28 @@ def results_to_json(rows: Iterable[CensusRow],
     return json.dumps(payload, indent=1)
 
 
+def _load_error(kind: str, d, exc: Exception, *keys: str) -> ValueError:
+    """The error for a row or record that does not load, naming it by keys."""
+    if not isinstance(d, dict):
+        return ValueError(f"{kind} {d!r}: not an object")
+    problem = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"{kind} {' '.join(f'{k}={d.get(k)}' for k in keys)}: {problem}")
+
+
 def results_from_json(text: str) -> Tuple[List[CensusRow], List[CensusRecord]]:
+    """The rows and records ``results_to_json`` wrote; raises ValueError
+    naming the first row or record that is malformed."""
     payload = json.loads(text)
-    rows = [CensusRow(d["n"], d["total"],
-                      {int(k): v for k, v in d["counts"].items()}, d["wall_time"])
-            for d in payload["rows"]]
+    rows = []
+    for d in payload["rows"]:
+        try:
+            row = CensusRow(d["n"], d["total"],
+                            {int(k): v for k, v in d["counts"].items()}, d["wall_time"])
+            if not (all(type(x) is int for x in (row.n, row.total, *row.counts_by_gamma_c.values()))
+                    and type(row.wall_time) in (int, float)):
+                raise TypeError("n, total and counts must be integers, wall_time a number")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise _load_error("row", d, exc, "n") from exc
+        rows.append(row)
     records = [CensusRecord.from_dict(d) for d in payload["records"]]
     return rows, records

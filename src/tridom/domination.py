@@ -6,7 +6,8 @@ Three routes to the connected domination number are provided:
   it directly): direct scans for sizes 1 to 3, then iterative deepening
   over connected vertex sets, with admissible pruning (distance
   reachability and a 2-packing of the vertices left undominated);
-* ``frontier_gamma_c`` - a dynamic program over the frontier of a narrow
+* the frontier DP (``_frontier_dp``), reached only through
+  ``exact_gamma_c`` - a dynamic program over the frontier of a narrow
   vertex order chosen per graph (``_dp_order``), for thin graphs such as
   the extremal constructions, however they are labelled (a
   path-decomposition DP with connectivity states, after Bodlaender, Cygan,
@@ -26,9 +27,13 @@ comb(n, k0): the DP's unlabelled state space against the candidate sets of
 the search's first level.  The order is searched only below that width, so
 a graph headed for the search pays a few greedy steps at most.  Otherwise it
 deepens the subset search on the same tables, so its subset-search answers
-are ``subset_gamma_c``'s.  ``classify`` does not route: on census classes
-the DP is about 100 times slower than subset search (the 1,249 classes of
-order 11, frontiers of 3 to 5 vertices: 1.0 s against 0.01 s).
+are ``subset_gamma_c``'s.  ``classify`` does not route.  On census classes
+only gamma_c >= 4 gets past the scans (5 classes at order 12, 153 at order
+13), and on those subset search is the faster route: 0.12 ms against
+0.9 ms per class at order 13 (medians of best-of-5 in-process times,
+Python 3.11).  ``exact_gamma_c`` would send 53 of the 153 to the DP, and 22
+of them would get another witness, so routing would change census
+certificates.
 
 The order: vertex separation equals pathwidth (Kinnersley, Inf. Process.
 Lett. 1992), so a thin graph has a narrow order whatever its labels.
@@ -142,18 +147,6 @@ class DominationCertificate:
     value: int
     witness: int  # vertex bitmask
     method: str
-
-
-@dataclass(frozen=True)
-class ContractionWitness:
-    edges: Tuple[Tuple[int, int], ...]
-    universal_degree: int
-
-    def spanned_vertices(self) -> int:
-        m = 0
-        for u, v in self.edges:
-            m |= 1 << u | 1 << v
-        return m
 
 
 def _require_connected(g: Graph) -> None:
@@ -408,19 +401,6 @@ def _dp_order(g: Graph, cap: int) -> Tuple[int, List[int]]:
     return best
 
 
-def frontier_gamma_c(g: Graph) -> DominationCertificate:
-    """Minimum connected dominating set by dynamic programming over ``_dp_order``'s order.
-
-    The witness is the least minimum connected dominating set in that order,
-    mapped back to g's labels and checked there.
-    """
-    _require_cds_input(g)
-    width, order = _dp_order(g, FRONTIER_MAX + 1)
-    if width > FRONTIER_MAX:
-        raise ValueError(f"the frontier DP takes frontiers of at most {FRONTIER_MAX} vertices")
-    return _frontier_dp(g, order)
-
-
 def _frontier_dp(g: Graph, order: List[int]) -> DominationCertificate:
     """The DP on g relabelled by order; its witness, least in that order, mapped back and checked.
 
@@ -593,22 +573,21 @@ def _minor_has_universal_merge(g: Graph, edge_set: Tuple[Tuple[int, int], ...]) 
     return cur.adj[merged].bit_count() == cur.n - 1
 
 
-def contraction_search(g: Graph, k: int) -> Optional[ContractionWitness]:
+def contraction_search(g: Graph, k: int) -> Optional[Tuple[Tuple[int, int], ...]]:
     """Least connected set of k edges whose contraction merges to a universal vertex.
 
     Edge sets are restricted to connected acyclic sets (trees); candidates
     are compared as sorted tuples of (u, v) pairs and the lexicographically
-    least success is returned, or None when no set of k edges works.
+    least success is returned, or None when no set of k edges works.  At
+    k = 0 that is (), when g has a universal vertex.  The merged vertex has
+    degree n - k - 1 and stands for the k + 1 ends of the edges.
     """
     _require_connected(g)
     if k < 0:
         raise ValueError("k must be >= 0")
     n = g.n
     if k == 0:
-        for v in range(n):
-            if g.degree(v) == n - 1:
-                return ContractionWitness((), n - 1)
-        return None
+        return () if any(g.degree(v) == n - 1 for v in range(n)) else None
     edge_list = g.edges()
     m = len(edge_list)
     if k > n - 1:
@@ -644,7 +623,7 @@ def contraction_search(g: Graph, k: int) -> Optional[ContractionWitness]:
         a, b = edge_list[root]
         grow([root], (1 << a) | (1 << b), incident[a] | incident[b], (1 << (root + 1)) - 1)
         if successes:
-            return ContractionWitness(min(successes), n - k - 1)
+            return min(successes)
     return None
 
 
@@ -657,13 +636,12 @@ def gamma_c_by_contraction(g: Graph) -> DominationCertificate:
     """
     _require_cds_input(g)
     for k in range(g.n):
-        w = contraction_search(g, k)
-        if w is not None:
+        edges = contraction_search(g, k)
+        if edges is not None:
             if k == 0:
-                v = next(v for v in range(g.n) if g.degree(v) == g.n - 1)
-                witness = 1 << v
+                witness = 1 << next(v for v in range(g.n) if g.degree(v) == g.n - 1)
             else:
-                witness = w.spanned_vertices()
+                witness = vset(x for e in edges for x in e)
             return DominationCertificate(k + 1, witness, METHOD_CONTRACTION)
     raise AssertionError("contraction search must succeed by k = n-1")
 

@@ -29,12 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .domination import all_minimum_cds, classify
 from .generate import _insert_vertex
-from .planar import (Face, Triangulation, from_face_list, is_face, triangulation_from_code,
-                     underlying_graph)
+from .planar import Face, Triangulation, from_face_list, is_face, triangulation_from_code
 
 
 def octahedron() -> Triangulation:
@@ -74,43 +72,6 @@ def octahedron_sum(t: Triangulation, f: Face) -> Triangulation:
     t = _insert_vertex(t, (a, c, b))
     t = _insert_vertex(t, (a, n, c, b), ((n, b),))
     return _insert_vertex(t, (b, n + 1, n, c), ((n + 1, c),))
-
-
-def new_triangle(t_before: Triangulation) -> Face:
-    """The face added by octahedron_sum applied to t_before."""
-    return (t_before.n, t_before.n + 1, t_before.n + 2)
-
-
-@dataclass(frozen=True)
-class SumReport:
-    """How one octahedron sum moved the connected domination number.
-
-    face_hits is the largest overlap between the chosen face and any minimum
-    connected dominating set of the base.  Overlap 0 predicts an increment
-    of 2 and overlap 1 an increment of 1; larger overlaps carry no
-    prediction and consistent is None.
-    """
-    base_value: int
-    summed_value: int
-    face_hits: int
-    predicted_increment: Optional[int]
-    observed_increment: int
-    consistent: Optional[bool]
-
-
-def octahedron_sum_report(t: Triangulation, f: Face) -> SumReport:
-    if not is_face(t, f):
-        raise ValueError(f"{f} is not a face")
-    g = underlying_graph(t)
-    fmask = (1 << f[0]) | (1 << f[1]) | (1 << f[2])
-    minima = all_minimum_cds(g)
-    hits = max((s & fmask).bit_count() for s in minima)
-    base = minima[0].bit_count()
-    summed = classify(octahedron_sum(t, f)).value
-    predicted = {0: 2, 1: 1}.get(hits)
-    observed = summed - base
-    consistent = (observed == predicted) if predicted is not None else None
-    return SumReport(base, summed, hits, predicted, observed, consistent)
 
 
 # Canonical code (hex) and designated face of each family's nine-vertex base.
@@ -160,7 +121,7 @@ def family(which: str, k: int) -> Triangulation:
         raise ValueError("family members need k >= 3 (order 3k >= 9)")
     t, site = family_base(which)
     for _ in range(k - 3):
-        t, site = octahedron_sum(t, site), new_triangle(t)
+        t, site = octahedron_sum(t, site), (t.n, t.n + 1, t.n + 2)
     return t
 
 

@@ -17,8 +17,8 @@ code, so the next level holds each isomorphism class exactly once.
 Every vertex u of minimum degree (at most 5) can be deleted by inverting a
 move, so that the rest is a triangulation of order n: a degree-3 vertex
 leaves a face; a degree-4 vertex is replaced by a diagonal of its link; a
-degree-5 vertex by the two chords of its link from some apex
-(``collapse_deg5``).  The far side of the link cycle is a disk, where chords
+degree-5 vertex by the two chords of its link from some apex (the tests'
+``collapse_deg5``).  The far side of the link cycle is a disk, where chords
 cannot cross, so at most one diagonal of a 4-cycle and at most two chords of
 a 5-cycle, sharing an end, are edges already; two chords of a pentagon
 touch three of its five vertices, so at least two apices are free.  No
@@ -150,32 +150,6 @@ def expand_deg5(t: Triangulation, apex: int, x1: int) -> Triangulation:
     if len({apex, x1, x2, x3, x4}) != 5:
         raise ValueError("fan vertices are not pairwise distinct")
     return _insert_vertex(t, (apex, x1, x2, x3, x4), ((apex, x2), (apex, x3)))
-
-
-def collapse_deg5(t: Triangulation, v: int, apex: int) -> Triangulation:
-    """Inverse of expand_deg5: delete degree-5 vertex v, re-fan from apex.
-
-    apex must be a neighbor of v; the two pentagon chords from apex are added
-    back.  Raises if a chord already exists (the collapse would double it).
-    """
-    rv = t.rot[v]
-    if len(rv) != 5:
-        raise ValueError(f"vertex {v} has degree {len(rv)}, need 5")
-    if apex not in rv:
-        raise ValueError(f"{apex} is not a neighbor of {v}")
-    if v != t.n - 1:
-        raise ValueError("only the last-added vertex can be collapsed")
-    i = rv.index(apex)
-    x1, x2, x3, x4 = rv[(i + 1) % 5], rv[(i + 2) % 5], rv[(i + 3) % 5], rv[(i + 4) % 5]
-    if x2 in t.rot[apex] or x3 in t.rot[apex]:
-        raise ValueError("re-fanning would create a doubled edge")
-    rot = list(t.rot[:-1])
-    rot[apex] = _insert_after(_replace(rot[apex], v, x2), x2, (x3,))
-    rot[x1] = tuple(u for u in rot[x1] if u != v)
-    rot[x2] = _replace(rot[x2], v, apex)
-    rot[x3] = _replace(rot[x3], v, apex)
-    rot[x4] = tuple(u for u in rot[x4] if u != v)
-    return Triangulation(t.n - 1, rot)
 
 
 def successors(t: Triangulation, auts: Sequence[Sequence[int]] = ()

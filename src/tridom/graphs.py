@@ -231,13 +231,6 @@ def enumerate_connected_sets(g: Graph, max_size: int, visitor: Callable[[int], o
     return count
 
 
-def connected_sets(g: Graph, max_size: int) -> List[int]:
-    """Convenience wrapper: collect the sets enumerate_connected_sets visits."""
-    out: List[int] = []
-    enumerate_connected_sets(g, max_size, out.append)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # graph6: header-less ASCII format, 6-bit packed upper triangle.
 

@@ -417,10 +417,8 @@ def from_face_list(n: int, triangles: Iterable[Tuple[int, int, int]]) -> Triangu
 # per vertex its neighbors in rotation order, 1-based, each list terminated
 # by a zero byte.
 
-def planar_code_write(ts: Iterable[Triangulation], header: bool = True) -> bytes:
-    out = bytearray()
-    if header:
-        out += PLANAR_CODE_HEADER
+def planar_code_write(ts: Iterable[Triangulation]) -> bytes:
+    out = bytearray(PLANAR_CODE_HEADER)
     for t in ts:
         if t.n >= 128:
             raise ValueError(f"planar_code supports orders below 128, got {t.n}")

@@ -9,6 +9,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src"))
 
 import tridom as td
+from tridom.generate import levels
 
 # property tests replay the same 300 examples on every run and write no example database
 settings.register_profile("tridom", max_examples=300, derandomize=True, deadline=None,
@@ -19,13 +20,13 @@ settings.load_profile("tridom")
 @pytest.fixture(scope="session")
 def levels_to_9():
     """Order -> list of canonical forms, in code order."""
-    return {n: list(level.values()) for n, level in td.levels(9)}
+    return {n: list(level.values()) for n, level in levels(9)}
 
 
 @pytest.fixture(scope="session")
 def code_levels_to_11():
-    """Order -> level (canonical code -> canonical form), as td.levels yields it."""
-    return dict(td.levels(11))
+    """Order -> level (canonical code -> canonical form), as generate.levels yields it."""
+    return dict(levels(11))
 
 
 @pytest.fixture(scope="session")

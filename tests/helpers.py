@@ -17,6 +17,8 @@ production code emits as it changes.  So do the move builders
 ``reference_insert_deg3``, ``reference_expand_deg4``,
 ``reference_expand_deg5`` and ``reference_octahedron_sum``: each edits the
 rotation rows by hand, sharing no code with ``generate._insert_vertex``.
+``collapse_deg5``, the inverse of a degree-5 insertion, edits them by hand
+too; it is the reducibility tests' reference.
 """
 
 from __future__ import annotations
@@ -265,6 +267,32 @@ def reference_expand_deg5(t: Triangulation, apex: int, x1: int) -> Triangulation
     rot[x4] = _insert_after(rot[x4], apex, (v,))      # between apex and x3
     rot.append((apex, x1, x2, x3, x4))
     return Triangulation(t.n + 1, rot)
+
+
+def collapse_deg5(t: Triangulation, v: int, apex: int) -> Triangulation:
+    """Inverse of expand_deg5: delete degree-5 vertex v, re-fan from apex.
+
+    apex must be a neighbor of v; the two pentagon chords from apex are added
+    back.  Raises if a chord already exists (the collapse would double it).
+    """
+    rv = t.rot[v]
+    if len(rv) != 5:
+        raise ValueError(f"vertex {v} has degree {len(rv)}, need 5")
+    if apex not in rv:
+        raise ValueError(f"{apex} is not a neighbor of {v}")
+    if v != t.n - 1:
+        raise ValueError("only the last-added vertex can be collapsed")
+    i = rv.index(apex)
+    x1, x2, x3, x4 = rv[(i + 1) % 5], rv[(i + 2) % 5], rv[(i + 3) % 5], rv[(i + 4) % 5]
+    if x2 in t.rot[apex] or x3 in t.rot[apex]:
+        raise ValueError("re-fanning would create a doubled edge")
+    rot = list(t.rot[:-1])
+    rot[apex] = _insert_after(_replace(rot[apex], v, x2), x2, (x3,))
+    rot[x1] = tuple(u for u in rot[x1] if u != v)
+    rot[x2] = _replace(rot[x2], v, apex)
+    rot[x3] = _replace(rot[x3], v, apex)
+    rot[x4] = tuple(u for u in rot[x4] if u != v)
+    return Triangulation(t.n - 1, rot)
 
 
 def reference_octahedron_sum(t: Triangulation, f: Face) -> Triangulation:

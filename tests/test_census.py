@@ -17,7 +17,6 @@ from tridom.census import (
     results_to_json,
     rows_from_csv,
     rows_to_csv,
-    run_census,
     verify_corpus,
 )
 from tridom.domination import exact_gamma, exact_gamma_c
@@ -59,7 +58,7 @@ def test_census_certificates_are_pinned(census_default):
 
 
 def test_compare_reference_clean_rows():
-    rows = run_census(9, 10)
+    rows = census_records(9, 10)[0]
     diff = compare_reference(rows)
     assert diff.ok
     assert diff.mismatches == []
@@ -86,9 +85,9 @@ def test_census_deterministic_across_worker_counts():
     """Rows agree for 1, 2 and 8 workers.  Records agree field for field on
     orders 5..10: order 10 has 233 classes, enough for its level to go to a
     pool of two workers."""
-    rows1 = run_census(5, 8, workers=1)
-    rows2 = run_census(5, 8, workers=2)
-    rows8 = run_census(5, 8, workers=8)
+    rows1 = census_records(5, 8, workers=1)[0]
+    rows2 = census_records(5, 8, workers=2)[0]
+    rows8 = census_records(5, 8, workers=8)[0]
     for a, b in zip(rows1, rows2):
         assert a.same_counts(b)
     for a, b in zip(rows1, rows8):
@@ -164,7 +163,7 @@ def test_find_extremal_value3_counts(census_default):
 
 
 def test_rows_csv_round_trip():
-    rows = run_census(5, 9)
+    rows = census_records(5, 9)[0]
     text = rows_to_csv(rows)
     assert text.splitlines()[0] == \
         "n,total,gamma_c_1,gamma_c_2,gamma_c_3,gamma_c_4,gamma_c_5,wall_time_s"
@@ -205,6 +204,9 @@ def _corrupt_first_label(code: str) -> str:
     return raw.hex()
 
 
+_DROP = object()  # a corruption that removes the field
+
+
 @pytest.mark.parametrize("field, corrupt, message", [
     ("code", _corrupt_first_label, "code is not a triangulation"),
     ("code", lambda code: code[:-2], "unterminated rotation block in code"),
@@ -215,10 +217,17 @@ def _corrupt_first_label(code: str) -> str:
     ("gamma", lambda gamma: 4, "gamma 4 exceeds gamma_c 3"),
     ("gamma", lambda gamma: gamma - 1, "gamma_witness is not a dominating set of size gamma"),
     ("gamma_witness", lambda w: w[:-1] + [77], "set mentions vertices outside the graph"),
+    ("gamma_witness", lambda w: _DROP, "missing field 'gamma_witness'"),
+    ("Delta", lambda delta: _DROP, "missing field 'Delta'"),
+    ("witness", lambda w: ["a"], r"unsupported operand type\(s\) for <<: 'int' and 'str'"),
+    ("witness", lambda w: [1.5], r"unsupported operand type\(s\) for <<: 'int' and 'float'"),
+    ("code", lambda code: 5, "fromhex\\(\\) argument must be str, not int"),
+    ("gamma_c", lambda value: 3.0, "gamma_c 3.0 is not an integer"),
 ])
 def test_json_records_are_checked_on_load(census_default, field, corrupt, message):
     """A record whose code, order, Delta, method, witness or gamma fields are
-    wrong is refused on load, with its n and code; the uncorrupted record loads."""
+    wrong, missing or of the wrong type is refused on load with a ValueError
+    that names its n and code; the uncorrupted record loads."""
     _, records = census_default
     rec = next(r for r in records if r.n == 9 and r.gamma_c == 3)
     gamma = exact_gamma(rec.graph())
@@ -226,9 +235,33 @@ def test_json_records_are_checked_on_load(census_default, field, corrupt, messag
     _, (back,) = results_from_json(json.dumps({"rows": [], "records": [d]}))
     assert back.gamma_certificate == gamma
     d[field] = corrupt(d[field])
+    if d[field] is _DROP:
+        del d[field]
     text = json.dumps({"rows": [], "records": [d]})
     with pytest.raises(ValueError, match=f"^record n={d['n']} code={d['code']}: {message}"):
         results_from_json(text)
+
+
+_ROW = {"n": 9, "total": 50, "counts": {"1": 12, "2": 37, "3": 1}, "wall_time": 0.1}
+
+
+@pytest.mark.parametrize("rows, records, message", [
+    ([{k: v for k, v in _ROW.items() if k != "counts"}], [], r"^row n=9: missing field 'counts'$"),
+    ([{**_ROW, "counts": [12, 37, 1]}], [], r"^row n=9: 'list' object has no attribute 'items'$"),
+    ([{**_ROW, "counts": {"x": 12}}], [], r"^row n=9: invalid literal for int\(\)"),
+    ([{**_ROW, "total": "50"}], [], r"^row n=9: n, total and counts must be integers, "),
+    ([{**_ROW, "wall_time": "fast"}], [], r"^row n=9: n, total and counts must be integers, "),
+    ([[9, 50]], [], r"^row \[9, 50\]: not an object$"),
+    ([_ROW], [5], r"^record 5: not an object$"),
+    ([_ROW], [["n", 9]], r"^record \['n', 9\]: not an object$"),
+])
+def test_json_rows_and_non_object_records_are_checked_on_load(rows, records, message):
+    """A malformed row, or a record that is not an object, raises ValueError
+    naming it; the well-formed row loads."""
+    (row,), _ = results_from_json(json.dumps({"rows": [_ROW], "records": []}))
+    assert (row.n, row.total, row.counts_by_gamma_c) == (9, 50, {1: 12, 2: 37, 3: 1})
+    with pytest.raises(ValueError, match=message):
+        results_from_json(json.dumps({"rows": rows, "records": records}))
 
 
 def test_census_from_planar_code_matches_native():

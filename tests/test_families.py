@@ -1,15 +1,16 @@
 import hashlib
+import importlib.util
 import json
+import os
 
 import pytest
 
-from tridom import cli, families, generate
+from tridom import cli, domination, families, generate
 from tridom.domination import (
     all_minimum_cds,
     classify,
     exact_gamma,
     exact_gamma_c,
-    frontier_gamma_c,
     subset_gamma_c,
 )
 from tridom.families import (
@@ -19,10 +20,8 @@ from tridom.families import (
     family_base,
     icosa_chain,
     icosahedron,
-    new_triangle,
     octahedron,
     octahedron_sum,
-    octahedron_sum_report,
 )
 from tridom.generate import K4
 from tridom.graphs import Graph, graph6_write, induces_connected, is_dominating, vset
@@ -38,6 +37,14 @@ from tridom.planar import (
 
 from helpers import reference_octahedron_sum
 
+# The sum reports live in the extremal demo, which is loaded by path.
+_DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "demos", "extremal_families.py")
+_spec = importlib.util.spec_from_file_location("extremal_families", _DEMO)
+extremal_demo = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(extremal_demo)
+octahedron_sum_report = extremal_demo.octahedron_sum_report
+
 
 def test_octahedron_is_the_4_regular_6_vertex_triangulation():
     oc = octahedron()
@@ -51,9 +58,10 @@ def test_octahedron_sum_structure():
     assert child.n == 7
     assert child.edge_count() == K4.edge_count() + 9
     assert verify_triangulation(child).ok
-    assert is_face(child, new_triangle(K4))
+    site = (K4.n, K4.n + 1, K4.n + 2)
+    assert is_face(child, site)
     # iterate on the fresh triangle
-    grand = octahedron_sum(child, new_triangle(K4))
+    grand = octahedron_sum(child, site)
     assert grand.n == 10
     assert verify_triangulation(grand).ok
     with pytest.raises(ValueError):
@@ -87,7 +95,7 @@ def test_members_match_the_reference_sum_byte_for_byte():
         for k in range(3, 101):
             assert family(which, k).rot == t.rot, (which, k)
             members.append(t.rot)
-            t, site = reference_octahedron_sum(t, site), new_triangle(t)
+            t, site = reference_octahedron_sum(t, site), (t.n, t.n + 1, t.n + 2)
         assert _digest(members) == MEMBER_DIGESTS[which]
     assert _digest([icosa_chain(k).rot for k in range(2, 8)]) == MEMBER_DIGESTS["chain"]
 
@@ -150,7 +158,7 @@ def test_sum_report_family_a_base_predicts_plus_two():
 def test_sum_report_family_a_second_stage_predicts_plus_one():
     ta, fa = family_base("A")
     t12 = octahedron_sum(ta, fa)
-    rep = octahedron_sum_report(t12, new_triangle(ta))
+    rep = octahedron_sum_report(t12, (ta.n, ta.n + 1, ta.n + 2))
     assert rep.base_value == 4
     assert rep.face_hits == 1
     assert rep.predicted_increment == 1
@@ -178,9 +186,7 @@ def test_sum_reports_consistent_along_construction_paths():
             rep = octahedron_sum_report(t, site)
             if rep.predicted_increment is not None:
                 assert rep.consistent is True, (which, t.n, rep)
-            prev = t
-            t = octahedron_sum(t, site)
-            site = new_triangle(prev)
+            t, site = octahedron_sum(t, site), (t.n, t.n + 1, t.n + 2)
 
 
 def test_family_values_quick():
@@ -197,8 +203,11 @@ def test_family_values_quick():
 def _count_solves(monkeypatch):
     """Count the solves made through the modules that build and print members.
 
-    families solves with classify and all_minimum_cds, cli with exact_gamma_c.
+    families holds nothing from domination, so it could solve only through
+    that module's classify or all_minimum_cds; cli solves with exact_gamma_c.
     """
+    assert not [name for name, value in vars(families).items()
+                if value is domination or getattr(value, "__module__", None) == domination.__name__]
     calls = []
 
     def counting(solve):
@@ -207,8 +216,8 @@ def _count_solves(monkeypatch):
             return solve(x)
         return counted
 
-    for module, name, solve in ((families, "classify", classify),
-                                (families, "all_minimum_cds", all_minimum_cds),
+    for module, name, solve in ((domination, "classify", classify),
+                                (domination, "all_minimum_cds", all_minimum_cds),
                                 (cli, "exact_gamma_c", exact_gamma_c)):
         monkeypatch.setattr(module, name, counting(solve))
     return calls
@@ -348,7 +357,8 @@ def test_icosa_chain_4_values():
     and the frontier DP both give gamma_c = 11 with verified witnesses."""
     g = underlying_graph(icosa_chain(4))
     assert exact_gamma(g).value == 5
-    for cert in (subset_gamma_c(g), frontier_gamma_c(g)):
+    dp = domination._frontier_dp(g, domination._dp_order(g, domination.FRONTIER_MAX + 1)[1])
+    for cert in (subset_gamma_c(g), dp):
         assert cert.value == 11
         assert cert.witness.bit_count() == 11
         assert is_dominating(g, cert.witness)

@@ -7,7 +7,6 @@ from tridom.generate import (
     K4,
     _accepted_code,
     _automorphisms,
-    collapse_deg5,
     expand_deg3,
     expand_deg4,
     expand_deg5,
@@ -30,8 +29,8 @@ from tridom.planar import (
 from tridom.families import icosahedron, octahedron
 
 from helpers import (all_children, all_moves_levels, assemble_triangulations,
-                     automorphism_orbit, automorphisms, cone_triangulations, count_codings,
-                     random_fan_parent, random_permutation, random_triangulation,
+                     automorphism_orbit, automorphisms, collapse_deg5, cone_triangulations,
+                     count_codings, random_fan_parent, random_permutation, random_triangulation,
                      reference_screen, reference_successors, screened_sites, site_image)
 
 KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}

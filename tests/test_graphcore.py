@@ -9,7 +9,6 @@ from tridom.graphs import (
     STOP,
     bits,
     closed_neighborhood,
-    connected_sets,
     degree_stats,
     enumerate_connected_sets,
     graph6_read,
@@ -134,15 +133,17 @@ def test_enumerate_connected_sets_matches_powerset_filter():
     graphs += [random_connected_graph(rng, n, 0.45) for n in (5, 6, 7, 8)]
     for g in graphs:
         for max_size in (1, 3, g.n):
-            got = connected_sets(g, max_size)
+            got = []
+            enumerate_connected_sets(g, max_size, got.append)
             assert len(got) == len(set(got))  # visited exactly once
             assert set(got) == powerset_connected_sets(g, max_size)
 
 
 def test_enumerate_connected_sets_deterministic_order():
     g = Graph.cycle(6)
-    a = connected_sets(g, 4)
-    b = connected_sets(g, 4)
+    a, b = [], []
+    enumerate_connected_sets(g, 4, a.append)
+    enumerate_connected_sets(g, 4, b.append)
     assert a == b
 
 
