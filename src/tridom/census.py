@@ -117,11 +117,13 @@ class CensusRecord:
     def from_dict(cls, d: dict) -> "CensusRecord":
         """The record ``to_dict`` wrote, checked first: its code must decode
         to a triangulation of order n with largest degree Delta, its witness
-        must be a connected dominating set of size gamma_c, its method one
-        that ``classify`` emits, and gamma_witness, if there is one, a
-        dominating set of size gamma <= gamma_c.  Raises ValueError naming
-        the record otherwise, also for a missing field, a field of the wrong
-        type or a record that is not an object."""
+        must list vertices 0..n-1 (ints, not bools) that form a connected
+        dominating set of size gamma_c, its method must be one that
+        ``classify`` emits, and gamma_witness, if there is one, must list
+        vertices that form a dominating set of size gamma <= gamma_c.
+        Raises ValueError naming the record otherwise, also for a missing
+        field, a field of the wrong type or a record that is not an
+        object."""
         try:
             for key in ("n", "gamma_c", "Delta", "gamma"):
                 if key in d and type(d[key]) is not int:
@@ -139,14 +141,14 @@ class CensusRecord:
             if d["method"] not in (METHOD_SUBSET, METHOD_DELTA):
                 raise ValueError(f"method {d['method']!r} is not one that classify emits")
             g = underlying_graph(t)
-            witness = vset(d["witness"])
+            witness = _vertex_set(d, "witness", t.n)
             if not _is_witness(g, d["gamma_c"], witness):
                 raise ValueError("witness is not a connected dominating set of size gamma_c")
             gamma_cert = None
             if "gamma" in d:
                 if d["gamma"] > d["gamma_c"]:
                     raise ValueError(f"gamma {d['gamma']} exceeds gamma_c {d['gamma_c']}")
-                gamma_witness = vset(d["gamma_witness"])
+                gamma_witness = _vertex_set(d, "gamma_witness", t.n)
                 if not _is_witness(g, d["gamma"], gamma_witness, connected=False):
                     raise ValueError("gamma_witness is not a dominating set of size gamma")
                 gamma_cert = DominationCertificate(d["gamma"], gamma_witness, METHOD_SUBSET)
@@ -157,6 +159,15 @@ class CensusRecord:
 
     def __repr__(self) -> str:
         return f"CensusRecord(n={self.n}, gamma_c={self.gamma_c}, Delta={self.Delta})"
+
+
+def _vertex_set(d: dict, key: str, n: int) -> int:
+    """The vertex list d[key] as a bitmask; every entry must be an int (not
+    a bool) in 0..n-1."""
+    for x in d[key]:
+        if type(x) is not int or not 0 <= x < n:
+            raise ValueError(f"{key} entry {x!r} is not a vertex in 0..{n - 1}")
+    return vset(d[key])
 
 
 def _classify_payload(rot) -> Tuple[int, int, str]:
@@ -387,9 +398,15 @@ def _load_error(kind: str, d, exc: Exception, *keys: str) -> ValueError:
 
 
 def results_from_json(text: str) -> Tuple[List[CensusRow], List[CensusRecord]]:
-    """The rows and records ``results_to_json`` wrote; raises ValueError
-    naming the first row or record that is malformed."""
+    """The rows and records ``results_to_json`` wrote; raises ValueError if
+    the payload is not an object with lists rows and records, or naming the
+    first row or record that is malformed."""
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"census JSON must be an object, not {type(payload).__name__}")
+    for key in ("rows", "records"):
+        if not isinstance(payload.get(key), list):
+            raise ValueError(f"census JSON: {key!r} is missing or not a list")
     rows = []
     for d in payload["rows"]:
         try:

@@ -669,6 +669,8 @@ def classify(t: Triangulation) -> DominationCertificate:
     elif dmax == n - 2:
         w = (g.full & ~closed_neighborhood(g, vmax)).bit_length() - 1
         common = g.adj[vmax] & g.adj[w]
+        if not common:  # w is isolated
+            _require_connected(g)
         u = (common & -common).bit_length() - 1
         cert = DominationCertificate(2, (1 << vmax) | (1 << u), METHOD_DELTA)
     else:

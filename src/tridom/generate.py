@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .planar import Face, Triangulation, _min_code, is_face, triangulation_from_code
+from .planar import Face, Triangulation, _min_code, faces, is_face, triangulation_from_code
 
 MIN_ORDER = 4
 MAX_ORDER = 14
@@ -175,10 +175,7 @@ def successors(t: Triangulation, auts: Sequence[Sequence[int]] = ()
     v = t.n
     deg = [len(r) for r in rot]
     deg3 = [u for u in range(v) if deg[u] == 3]
-    # faces(t), t.edges() and opposite_vertices, read off the rotations: at
-    # a, neighbours r[i - 1], r[i] bound face (a, r[i], r[i - 1])
-    for f in sorted((a, r[i], r[i - 1]) for a, r in enumerate(rot)
-                    for i in range(len(r)) if a < r[i] and a < r[i - 1]):
+    for f in faces(t):
         a, b, c = f
         if auts and any(sorted((s[a], s[b], s[c])) < sorted(f) for s in auts):
             continue

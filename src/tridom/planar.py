@@ -1,14 +1,21 @@
 """Rotation-system embeddings of plane triangulations.
 
 A plane triangulation is stored as its rotation system: for every vertex the
-cyclic clockwise order of its neighbors.  Faces are recovered by the tracing
-rule
+cyclic clockwise order of its neighbors.  Its faces are the orbits of the
+tracing rule
 
     from directed edge (u, v) the next directed edge is (v, w),
     where w immediately follows u in the clockwise rotation at v.
 
 One fixed convention everywhere keeps planar_code interoperation and all
-derived codes deterministic.
+derived codes deterministic.  No code traces a face, though.  The face
+through (u, v) is a triangle iff the corner rule holds there: with w after
+u at v, u follows v at w and v follows w at u.  ``verify_triangulation``
+checks that rule at every directed edge.  In a triangulation, then, two
+consecutive neighbours r[i - 1], r[i] in the rotation row r of a bound the
+face (a, r[i], r[i - 1]), which is how ``faces`` reads them.  Once every
+corner passes, F = 2E/3, so E = 3n - 6 gives F = 2n - 4; and no face is
+degenerate, since a face (u, v, u) puts v at degree 1 and fails the rule.
 
 Canonical codes
 ---------------
@@ -120,38 +127,17 @@ def underlying_graph(t: Triangulation) -> Graph:
 
 
 def faces(t: Triangulation) -> List[Face]:
-    """All faces as directed triples, least vertex first, in sorted order.
+    """All faces of the triangulation t as directed triples, least vertex
+    first, in sorted order.
 
-    Raises ValueError if tracing meets a non-triangular or degenerate face,
-    which signals a corrupted embedding.
+    Read off the rotation rows: at a, consecutive neighbours r[i - 1], r[i]
+    bound the face (a, r[i], r[i - 1]) wherever the corner rule of
+    ``verify_triangulation`` holds.  This reads a triangulation and checks
+    nothing: it raises nothing, and on a corrupted rotation system it
+    returns triples that need not be faces.
     """
-    nxt: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for v, r in enumerate(t.rot):
-        d = len(r)
-        for i, u in enumerate(r):
-            nxt[(u, v)] = (v, r[(i + 1) % d])
-    out: List[Face] = []
-    seen = set()
-    for start in nxt:
-        if start in seen:
-            continue
-        a, b = start
-        e2 = nxt[start]
-        e3 = nxt[e2]
-        if nxt[e3] != start:
-            raise ValueError(f"non-triangular face at directed edge {start}")
-        c = e2[1]
-        if a == b or b == c or a == c:
-            raise ValueError(f"degenerate face {(a, b, c)}")
-        seen.update((start, e2, e3))
-        if b < a and b < c:
-            out.append((b, c, a))
-        elif c < a and c < b:
-            out.append((c, a, b))
-        else:
-            out.append((a, b, c))
-    out.sort()
-    return out
+    return sorted((a, r[i], r[i - 1]) for a, r in enumerate(t.rot)
+                  for i in range(len(r)) if a < r[i] and a < r[i - 1])
 
 
 def is_face(t: Triangulation, f: Face) -> bool:
@@ -166,7 +152,16 @@ def is_face(t: Triangulation, f: Face) -> bool:
 
 
 def verify_triangulation(t: Triangulation) -> ValidityReport:
-    """Structural check: simple, connected, E = 3n-6, all faces triangles."""
+    """Structural check: simple, connected, E = 3n-6, every face a triangle.
+
+    Faces are checked at their corners, not traced: for each directed edge
+    (u, v), v ascending and then u in the rotation order at v, with w after
+    u at v, u must follow v at w and v follow w at u.  The first edge that
+    fails is the one a tracer over the same edges reports.  No face count
+    or degenerate-face test is needed: with every face a triangle,
+    F = 2E/3, so E = 3n-6 gives F = 2n-4; and a face (u, v, u) puts v at
+    degree 1, which the corner rule refuses first.
+    """
     n = t.n
     if n < 4:
         return ValidityReport(False, f"order {n} below 4")
@@ -180,22 +175,21 @@ def verify_triangulation(t: Triangulation) -> ValidityReport:
                 return ValidityReport(False, f"vertex {u} out of range in rotation of {v}")
             if u == v:
                 return ValidityReport(False, f"self-loop at {v}")
+    adj = _adjacency(t.rot)
     for v, r in enumerate(t.rot):
         for u in r:
-            if v not in t.rot[u]:
+            if not adj[u] >> v & 1:
                 return ValidityReport(False, f"asymmetric adjacency ({v},{u})")
-    g = underlying_graph(t)
-    if not is_connected(g):
+    if not is_connected(Graph(n, adj)):
         return ValidityReport(False, "graph is disconnected")
     e = t.edge_count()
     if e != 3 * n - 6:
         return ValidityReport(False, f"edge count {e} differs from 3n-6 = {3 * n - 6}")
-    try:
-        fl = faces(t)
-    except ValueError as exc:
-        return ValidityReport(False, str(exc))
-    if len(fl) != 2 * n - 4:
-        return ValidityReport(False, f"face count {len(fl)} differs from 2n-4 = {2 * n - 4}")
+    nxt = [dict(zip(r, r[1:] + r[:1])) for r in t.rot]  # nxt[v][u]: what follows u at v
+    for v, follow in enumerate(nxt):
+        for u, w in follow.items():
+            if nxt[w][v] != u or nxt[u][w] != v:
+                return ValidityReport(False, f"non-triangular face at directed edge {(u, v)}")
     return ValidityReport(True)
 
 

@@ -6,13 +6,15 @@ surfaces, domination numbers are recomputed by raw subset enumeration, and
 connected sets by powerset filtering.  Agreement between these oracles and
 the fast paths is what the tests assert.  ``reference_minimum_cds``,
 ``reference_gamma``, ``reference_min_code``,
-``reference_triangulation_from_code``, ``reference_successors`` and
-``reference_screen`` are different: they keep earlier forms of production
-code (the connected-domination search with only its coverage and distance
-prunes, the two-phase domination search, the coding kernel that tries every
-root edge, the symbol-by-symbol decoder, and generation that builds every
-minimum-degree child before ranking its new vertex), to pin the exact
-certificates, codes, label arrays and screened children that the
+``reference_triangulation_from_code``, ``reference_successors``,
+``reference_screen``, ``reference_faces`` and
+``reference_verify_triangulation`` are different: they keep earlier forms of
+production code (the connected-domination search with only its coverage and
+distance prunes, the two-phase domination search, the coding kernel that
+tries every root edge, the symbol-by-symbol decoder, generation that builds
+every minimum-degree child before ranking its new vertex, and the face
+tracer with the validator built on it), to pin the exact certificates,
+codes, label arrays, screened children, faces and validity reports that the
 production code emits as it changes.  So do the move builders
 ``reference_insert_deg3``, ``reference_expand_deg4``,
 ``reference_expand_deg5`` and ``reference_octahedron_sum``: each edits the
@@ -38,11 +40,12 @@ from tridom.graphs import (
     bits,
     enumerate_connected_sets,
     induces_connected,
+    is_connected,
     is_dominating,
     vset,
 )
-from tridom.planar import (Face, Triangulation, canonical_code, faces, from_face_list,
-                           is_face, verify_triangulation)
+from tridom.planar import (Face, Triangulation, ValidityReport, canonical_code, faces,
+                           from_face_list, is_face, underlying_graph, verify_triangulation)
 from tridom.generate import K4, expand_deg3, opposite_vertices
 
 
@@ -565,6 +568,75 @@ def reference_triangulation_from_code(code: bytes) -> Triangulation:
     if block:
         raise ValueError("unterminated rotation block in code")
     return Triangulation(len(rot), rot)
+
+
+def reference_faces(t: Triangulation) -> List[Face]:
+    """All faces as directed triples, least vertex first, in sorted order.
+
+    Raises ValueError if tracing meets a non-triangular or degenerate face,
+    which signals a corrupted embedding.
+    """
+    nxt: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    for v, r in enumerate(t.rot):
+        d = len(r)
+        for i, u in enumerate(r):
+            nxt[(u, v)] = (v, r[(i + 1) % d])
+    out: List[Face] = []
+    seen = set()
+    for start in nxt:
+        if start in seen:
+            continue
+        a, b = start
+        e2 = nxt[start]
+        e3 = nxt[e2]
+        if nxt[e3] != start:
+            raise ValueError(f"non-triangular face at directed edge {start}")
+        c = e2[1]
+        if a == b or b == c or a == c:
+            raise ValueError(f"degenerate face {(a, b, c)}")
+        seen.update((start, e2, e3))
+        if b < a and b < c:
+            out.append((b, c, a))
+        elif c < a and c < b:
+            out.append((c, a, b))
+        else:
+            out.append((a, b, c))
+    out.sort()
+    return out
+
+
+def reference_verify_triangulation(t: Triangulation) -> ValidityReport:
+    """Structural check: simple, connected, E = 3n-6, all faces triangles."""
+    n = t.n
+    if n < 4:
+        return ValidityReport(False, f"order {n} below 4")
+    if len(t.rot) != n:
+        return ValidityReport(False, "rotation table size differs from order")
+    for v, r in enumerate(t.rot):
+        if len(r) != len(set(r)):
+            return ValidityReport(False, f"repeated neighbor in rotation of {v}")
+        for u in r:
+            if not 0 <= u < n:
+                return ValidityReport(False, f"vertex {u} out of range in rotation of {v}")
+            if u == v:
+                return ValidityReport(False, f"self-loop at {v}")
+    for v, r in enumerate(t.rot):
+        for u in r:
+            if v not in t.rot[u]:
+                return ValidityReport(False, f"asymmetric adjacency ({v},{u})")
+    g = underlying_graph(t)
+    if not is_connected(g):
+        return ValidityReport(False, "graph is disconnected")
+    e = t.edge_count()
+    if e != 3 * n - 6:
+        return ValidityReport(False, f"edge count {e} differs from 3n-6 = {3 * n - 6}")
+    try:
+        fl = reference_faces(t)
+    except ValueError as exc:
+        return ValidityReport(False, str(exc))
+    if len(fl) != 2 * n - 4:
+        return ValidityReport(False, f"face count {len(fl)} differs from 2n-4 = {2 * n - 4}")
+    return ValidityReport(True)
 
 
 def random_triangulation(rng: random.Random, n: int) -> Triangulation:

@@ -216,11 +216,14 @@ _DROP = object()  # a corruption that removes the field
     ("witness", lambda w: w[:-1], "witness is not a connected dominating set of size gamma_c"),
     ("gamma", lambda gamma: 4, "gamma 4 exceeds gamma_c 3"),
     ("gamma", lambda gamma: gamma - 1, "gamma_witness is not a dominating set of size gamma"),
-    ("gamma_witness", lambda w: w[:-1] + [77], "set mentions vertices outside the graph"),
+    ("gamma_witness", lambda w: w[:-1] + [77], r"gamma_witness entry 77 is not a vertex in 0\.\.8$"),
     ("gamma_witness", lambda w: _DROP, "missing field 'gamma_witness'"),
     ("Delta", lambda delta: _DROP, "missing field 'Delta'"),
-    ("witness", lambda w: ["a"], r"unsupported operand type\(s\) for <<: 'int' and 'str'"),
-    ("witness", lambda w: [1.5], r"unsupported operand type\(s\) for <<: 'int' and 'float'"),
+    ("witness", lambda w: ["a"], r"witness entry 'a' is not a vertex in 0\.\.8$"),
+    ("witness", lambda w: [1.5], r"witness entry 1\.5 is not a vertex in 0\.\.8$"),
+    ("witness", lambda w: [True], r"witness entry True is not a vertex in 0\.\.8$"),
+    ("witness", lambda w: [-1], r"witness entry -1 is not a vertex in 0\.\.8$"),
+    ("witness", lambda w: [9], r"witness entry 9 is not a vertex in 0\.\.8$"),
     ("code", lambda code: 5, "fromhex\\(\\) argument must be str, not int"),
     ("gamma_c", lambda value: 3.0, "gamma_c 3.0 is not an integer"),
 ])
@@ -242,6 +245,7 @@ def test_json_records_are_checked_on_load(census_default, field, corrupt, messag
         results_from_json(text)
 
 
+_WHOLE = object()  # records given as this: rows is the whole payload
 _ROW = {"n": 9, "total": 50, "counts": {"1": 12, "2": 37, "3": 1}, "wall_time": 0.1}
 
 
@@ -254,14 +258,22 @@ _ROW = {"n": 9, "total": 50, "counts": {"1": 12, "2": 37, "3": 1}, "wall_time": 
     ([[9, 50]], [], r"^row \[9, 50\]: not an object$"),
     ([_ROW], [5], r"^record 5: not an object$"),
     ([_ROW], [["n", 9]], r"^record \['n', 9\]: not an object$"),
+    (5, [], r"^census JSON: 'rows' is missing or not a list$"),
+    (_DROP, [], r"^census JSON: 'rows' is missing or not a list$"),
+    ([], _DROP, r"^census JSON: 'records' is missing or not a list$"),
+    ([], {"n": 9}, r"^census JSON: 'records' is missing or not a list$"),
+    ([], _WHOLE, r"^census JSON must be an object, not list$"),
+    (5, _WHOLE, r"^census JSON must be an object, not int$"),
 ])
 def test_json_rows_and_non_object_records_are_checked_on_load(rows, records, message):
-    """A malformed row, or a record that is not an object, raises ValueError
-    naming it; the well-formed row loads."""
+    """A malformed row, a record that is not an object, or a payload that is
+    not an object with lists rows and records raises ValueError naming it;
+    the well-formed row loads."""
     (row,), _ = results_from_json(json.dumps({"rows": [_ROW], "records": []}))
     assert (row.n, row.total, row.counts_by_gamma_c) == (9, 50, {1: 12, 2: 37, 3: 1})
+    payload = {key: v for key, v in (("rows", rows), ("records", records)) if v is not _DROP}
     with pytest.raises(ValueError, match=message):
-        results_from_json(json.dumps({"rows": rows, "records": records}))
+        results_from_json(json.dumps(rows if records is _WHOLE else payload))
 
 
 def test_census_from_planar_code_matches_native():

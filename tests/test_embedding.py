@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from typing import Tuple
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +29,8 @@ from tridom.planar import (
 from tridom.families import icosahedron, octahedron
 
 from helpers import (capped_antiprism, glued_on_a_face, is_chord_root_edge, random_permutation,
-                     random_triangulation, reference_min_code, reference_triangulation_from_code,
+                     random_triangulation, reference_faces, reference_min_code,
+                     reference_triangulation_from_code, reference_verify_triangulation,
                      root_edges_of_least_code)
 
 
@@ -37,14 +40,24 @@ def test_faces_counts():
     assert len(faces(icosahedron())) == 20
 
 
-def test_faces_cover_each_directed_edge_once():
-    for t in (K4, octahedron(), icosahedron()):
-        covered = []
-        for a, b, c in faces(t):
-            covered += [(a, b), (b, c), (c, a)]
-        assert len(covered) == len(set(covered)) == 2 * t.edge_count()
-        all_directed = {(u, v) for u in range(t.n) for v in t.rot[u]}
-        assert set(covered) == all_directed
+def test_faces_cover_each_directed_edge_once(code_levels_to_11):
+    """faces covers every directed edge once, with triples that is_face
+    accepts, and reads the faces the tracer in helpers traces.  The sample:
+    every class of orders 4..10, the octahedron, the icosahedron and random
+    triangulations of orders 14..30, each also relabelled and mirrored."""
+    rng = random.Random(21)
+    bases = [t for n, level in code_levels_to_11.items() if n <= 10 for t in level.values()]
+    bases += [K4, octahedron(), icosahedron()]
+    bases += [random_triangulation(rng, n) for n in range(14, 31)]
+    for base in bases:
+        moved = relabel(base, random_permutation(rng, base.n))
+        for t in (base, moved, mirror(moved)):
+            fl = faces(t)
+            assert fl == reference_faces(t)
+            assert all(is_face(t, f) for f in fl)
+            covered = [e for a, b, c in fl for e in ((a, b), (b, c), (c, a))]
+            assert len(covered) == len(set(covered)) == 2 * t.edge_count()
+            assert set(covered) == {(u, v) for u in range(t.n) for v in t.rot[u]}
 
 
 def test_is_face_orientation():
@@ -250,8 +263,58 @@ _parsed_records = st.integers(1, 8).flatmap(lambda n: st.lists(
 
 @given(st.binary(max_size=64) | st.lists(_parsed_records, max_size=3).map(b"".join))
 def test_planar_code_rejects_any_bad_bytes_with_value_error(data):
+    """Bad bytes raise ValueError while parsing, and every record parsed
+    gets the validity report of the validator built on the face tracer."""
+    records = []
     try:
         for t in planar_code_iter(data):
-            verify_triangulation(t)
+            records.append(t)
     except ValueError:
         pass
+    for t in records:
+        assert verify_triangulation(t) == reference_verify_triangulation(t)
+
+
+def _corrupted(rng: random.Random, t: Triangulation) -> Tuple[str, Triangulation]:
+    """One corruption of t's rotation rows, by name, and its result."""
+    rot = [list(r) for r in t.rot]
+    kind = rng.choice(("swap", "reverse", "replace", "drop", "shift", "mirror"))
+    r = rot[rng.randrange(t.n)]
+    if kind == "swap":
+        i, j = rng.sample(range(len(r)), 2)
+        r[i], r[j] = r[j], r[i]
+    elif kind == "reverse":
+        r.reverse()
+    elif kind == "replace":  # by any vertex, or one out of range
+        r[rng.randrange(len(r))] = rng.randrange(-1, t.n + 1)
+    elif kind == "drop":
+        del r[rng.randrange(len(r))]
+    elif kind == "shift":  # the same cyclic order: still a triangulation
+        k = rng.randrange(len(r))
+        r[:] = r[k:] + r[:k]
+    else:
+        for v in rng.sample(range(t.n), rng.randrange(1, t.n)):
+            rot[v].reverse()
+    return kind, Triangulation(t.n, rot)
+
+
+def test_verify_matches_the_face_tracer_on_corrupted_rotation_systems(code_levels_to_11):
+    """The corner rule gives the report of the validator built on the face
+    tracer, verdict and message, on rows with swapped entries, reversed,
+    with a neighbour replaced or dropped, cyclically shifted, or mirrored in
+    a subset; every kind of failure these make occurs."""
+    rng = random.Random(22)
+    bases = [t for n, level in code_levels_to_11.items() if 5 <= n <= 10 for t in level.values()]
+    bases += [random_triangulation(rng, n) for n in range(14, 31)]
+    kinds, problems = set(), set()
+    for _ in range(3000):
+        base = rng.choice(bases)
+        kind, t = _corrupted(rng, relabel(base, random_permutation(rng, base.n)))
+        report = verify_triangulation(t)
+        assert report == reference_verify_triangulation(t)
+        kinds.add(kind)
+        problems.add(report.problem and re.sub(r"-?\d+", "#", report.problem))
+    assert len(kinds) == 6
+    assert problems == {None, "repeated neighbor in rotation of #",
+                        "vertex # out of range in rotation of #", "self-loop at #",
+                        "asymmetric adjacency (#,#)", "non-triangular face at directed edge (#, #)"}

@@ -430,7 +430,8 @@ def test_subset_gamma_c_matches_the_reference_search_property(g):
 
 def test_subset_gamma_c_checks_its_input_before_scanning():
     """A one-vertex graph would pass the size-1 scan; it is refused first, and
-    disconnected input keeps its message on both entry points."""
+    disconnected input keeps its message on both entry points, also where
+    classify's Δ = n - 2 shortcut would look for a common neighbour."""
     disconnected = "graph is disconnected; graphs with more than one component"
     for g in (Graph(4, [0b10, 0b1, 0b1000, 0b100]), Graph(2, [0, 0])):
         with pytest.raises(ValueError, match=disconnected):
@@ -438,8 +439,10 @@ def test_subset_gamma_c_checks_its_input_before_scanning():
     with pytest.raises(ValueError, match="connected domination needs at least two vertices"):
         subset_gamma_c(Graph(1, [0]))
     two_triangles = Triangulation(6, ((1, 2), (0, 2), (0, 1), (4, 5), (3, 5), (3, 4)))
-    with pytest.raises(ValueError, match=disconnected):
-        classify(two_triangles)
+    k4_and_isolated = Triangulation(5, ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2), ()))
+    for t in (two_triangles, k4_and_isolated):  # the second has Δ = n - 2
+        with pytest.raises(ValueError, match=disconnected):
+            classify(t)
 
 
 def test_classify_refuses_fewer_than_two_vertices():
