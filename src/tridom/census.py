@@ -62,11 +62,6 @@ class CensusRow:
     def count(self, value: int) -> int:
         return self.counts_by_gamma_c.get(value, 0)
 
-    def same_counts(self, other: "CensusRow") -> bool:
-        return (self.n == other.n and self.total == other.total
-                and {k: v for k, v in self.counts_by_gamma_c.items() if v}
-                == {k: v for k, v in other.counts_by_gamma_c.items() if v})
-
 
 class CensusRecord:
     """One classified triangulation: certificate plus lazily computed gamma."""
@@ -365,19 +360,6 @@ def rows_to_csv(rows: Iterable[CensusRow]) -> str:
     return buf.getvalue()
 
 
-def rows_from_csv(text: str) -> List[CensusRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != _CSV_FIELDS:
-        raise ValueError(f"unexpected CSV header {header}")
-    rows = []
-    for line in reader:
-        n, total, *cells, wall = line
-        counts = {v: int(c) for v, c in zip(GAMMA_C_COLUMNS, cells) if int(c)}
-        rows.append(CensusRow(int(n), int(total), counts, float(wall)))
-    return rows
-
-
 def results_to_json(rows: Iterable[CensusRow],
                     records: Iterable[CensusRecord] = ()) -> str:
     payload = {
@@ -397,10 +379,33 @@ def _load_error(kind: str, d, exc: Exception, *keys: str) -> ValueError:
     return ValueError(f"{kind} {' '.join(f'{k}={d.get(k)}' for k in keys)}: {problem}")
 
 
+def _row_from_dict(d: dict) -> CensusRow:
+    """The row ``results_to_json`` wrote, checked: n, total and the counts
+    are ints (not bools), wall_time a number, each count key the decimal
+    string of a gamma_c >= 1, each count non-negative, and the counts sum to
+    total."""
+    counts = {}
+    for key, count in d["counts"].items():
+        value = int(key)
+        if str(value) != key or value < 1:
+            raise ValueError(f"count key {key!r} is not a gamma_c >= 1 in decimal")
+        counts[value] = count
+    row = CensusRow(d["n"], d["total"], counts, d["wall_time"])
+    if not (all(type(x) is int for x in (row.n, row.total, *counts.values()))
+            and type(row.wall_time) in (int, float)):
+        raise TypeError("n, total and counts must be integers, wall_time a number")
+    if any(count < 0 for count in counts.values()):
+        raise ValueError("counts must not be negative")
+    if sum(counts.values()) != row.total:
+        raise ValueError(f"counts sum to {sum(counts.values())}, not total {row.total}")
+    return row
+
+
 def results_from_json(text: str) -> Tuple[List[CensusRow], List[CensusRecord]]:
-    """The rows and records ``results_to_json`` wrote; raises ValueError if
-    the payload is not an object with lists rows and records, or naming the
-    first row or record that is malformed."""
+    """The rows and records ``results_to_json`` wrote, the reader of
+    ``tridom census --json`` output; raises ValueError if the payload is not
+    an object with lists rows and records, or naming the first row or record
+    that is malformed (see ``_row_from_dict`` and ``CensusRecord.from_dict``)."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError(f"census JSON must be an object, not {type(payload).__name__}")
@@ -410,13 +415,8 @@ def results_from_json(text: str) -> Tuple[List[CensusRow], List[CensusRecord]]:
     rows = []
     for d in payload["rows"]:
         try:
-            row = CensusRow(d["n"], d["total"],
-                            {int(k): v for k, v in d["counts"].items()}, d["wall_time"])
-            if not (all(type(x) is int for x in (row.n, row.total, *row.counts_by_gamma_c.values()))
-                    and type(row.wall_time) in (int, float)):
-                raise TypeError("n, total and counts must be integers, wall_time a number")
+            rows.append(_row_from_dict(d))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _load_error("row", d, exc, "n") from exc
-        rows.append(row)
     records = [CensusRecord.from_dict(d) for d in payload["records"]]
     return rows, records

@@ -46,17 +46,19 @@ def _read_bytes(path: Optional[str]) -> bytes:
 def _write_bytes(path: Optional[str], data: bytes) -> None:
     if path is None or path == "-":
         sys.stdout.buffer.write(data)
-    else:
+        return
+    try:
         with open(path, "wb") as fh:
             fh.write(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_bytes(path, text.encode("utf-8"))
 
 
 def _emit_triangulations(level: Dict[bytes, Triangulation], fmt: str,

@@ -6,11 +6,15 @@ with edges ae, af, bf, bg, ce, cg.  Iterating it on the freshly added
 triangle produces order-3k triangulations whose connected domination number
 grows by one or two per step depending on how the chosen face meets the
 minimum connected dominating sets; families A and B below follow the two
-known base graphs on nine vertices.  The bases are stored data (canonical
-code and face), and the tests pin the properties that define them.  Members
-are built, not solved: the law gamma_c = k = n/3 for k >= 5
+known base graphs on nine vertices.  The icosahedron and the bases are
+stored data, the one as its rotation table and each base as a canonical
+code and a face; the tests pin the properties that define them.  Members are
+built, not solved: the law gamma_c = k = n/3 for k >= 5
 (``expected_family_value``) is pinned by the tests for k = 3..60, 80 and
 100 and checked by ``tridom family --values``, which solves the member once.
+The sum is three calls of ``generate._insert_vertex``, which makes every
+vertex insertion; a degree-3 insertion into a face (a, b, c) of a member is
+``_insert_vertex(t, (a, c, b))``, the first of them.
 
 The icosahedron chain glues k icosahedra along outer-face edges so that all
 copies share one vertex, then triangulates the outer hole with a fan of
@@ -32,28 +36,23 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from .generate import _insert_vertex
-from .planar import Face, Triangulation, from_face_list, is_face, triangulation_from_code
+from .planar import Face, Triangulation, is_face, triangulation_from_code
 
 
-def octahedron() -> Triangulation:
-    """The unique 4-regular plane triangulation on six vertices."""
-    return from_face_list(6, [
-        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
-        (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4),
-    ])
+#: The icosahedron's rotation table, with outer face (0, 1, 2): vertex 0 is
+#: the top pole, 1..5 its ring, 6..10 the lower ring and 11 the bottom pole.
+_ICOSAHEDRON = ((1, 5, 4, 3, 2), (0, 2, 6, 10, 5), (0, 3, 7, 6, 1), (0, 4, 8, 7, 2),
+                (0, 5, 9, 8, 3), (0, 1, 10, 9, 4), (1, 2, 7, 11, 10), (2, 3, 8, 11, 6),
+                (3, 4, 9, 11, 7), (4, 5, 10, 11, 8), (1, 6, 11, 9, 5), (6, 7, 8, 9, 10))
 
 
 def icosahedron() -> Triangulation:
     """The 5-regular plane triangulation on twelve vertices.
 
     The designated outer face is (0, 1, 2): vertex 0 plays u, 1 plays v and
-    2 plays w in the chain construction.  (0, 1, 2) is a traced face.
+    2 plays w in the chain construction.
     """
-    top = [(0, i, i % 5 + 1) for i in range(1, 6)]
-    down = [(i, i % 5 + 1, i + 5) for i in range(1, 6)]
-    up = [(i + 5, i % 5 + 6, i % 5 + 1) for i in range(1, 6)]
-    bottom = [(11, i + 5, i % 5 + 6) for i in range(1, 6)]
-    return from_face_list(12, top + down + up + bottom)
+    return Triangulation(12, _ICOSAHEDRON)
 
 
 def octahedron_sum(t: Triangulation, f: Face) -> Triangulation:

@@ -54,15 +54,18 @@ kept codes, which still go through a set, repeat only where one vertex of
 degree 4 or 5 has several deletions (two diagonals, or several free apices)
 into different parents or different orbits of sites.
 
-Moves that would break simplicity are skipped silently during enumeration
-but raise when one of the expansion functions is called directly.
+``_insert_vertex`` alone builds every move.  It checks nothing, so
+its callers pass it sites of the parent: ``successors`` its own, and
+``families.octahedron_sum`` a face it has checked, into which it makes three
+insertions.  A degree-3 insertion into a face (a, b, c) of any triangulation
+t, an extremal family member say, is ``_insert_vertex(t, (a, c, b))``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .planar import Face, Triangulation, _min_code, faces, is_face, triangulation_from_code
+from .planar import Triangulation, _min_code, faces, triangulation_from_code
 
 MIN_ORDER = 4
 MAX_ORDER = 14
@@ -103,53 +106,6 @@ def _insert_vertex(t: Triangulation, link: Tuple[int, ...],
             rot[u] = _insert_after(row, link[(i + 1) % len(link)], (v,))
     rot.append(link)
     return Triangulation(v + 1, rot)
-
-
-def expand_deg3(t: Triangulation, f: Face) -> Triangulation:
-    """Insert a new vertex of degree 3 inside face f = (a, b, c)."""
-    if not is_face(t, f):
-        raise ValueError(f"{f} is not a face")
-    a, b, c = f
-    return _insert_vertex(t, (a, c, b))
-
-
-def opposite_vertices(t: Triangulation, e: Tuple[int, int]) -> Tuple[int, int]:
-    """Third vertices (c, d) of the two faces meeting at edge e = (a, b)."""
-    a, b = e
-    if b not in t.rot[a]:
-        raise ValueError(f"{e} is not an edge")
-    return t.succ(b, a), t.succ(a, b)
-
-
-def expand_deg4(t: Triangulation, e: Tuple[int, int]) -> Triangulation:
-    """Replace edge e = (a, b) by a new degree-4 vertex joined to a, c, b, d,
-    the third vertices c != d of the two faces at e."""
-    a, b = e
-    c, d = opposite_vertices(t, e)
-    if c == d:
-        raise ValueError(f"edge {e} has coinciding opposite vertices")
-    return _insert_vertex(t, (a, c, b, d), ((a, b),))
-
-
-def expand_deg5(t: Triangulation, apex: int, x1: int) -> Triangulation:
-    """Insert a degree-5 vertex over the fan of three consecutive faces at apex.
-
-    With x2, x3, x4 following x1 at apex, the new vertex is joined to apex and
-    x1..x4, and edges apex-x2, apex-x3 go.  Requires degree(apex) >= 5.
-    """
-    if not 0 <= apex < t.n:
-        raise ValueError(f"vertex {apex} out of range")
-    ra = t.rot[apex]
-    d = len(ra)
-    if d < 5:
-        raise ValueError(f"apex degree {d} below 5")
-    if x1 not in ra:
-        raise ValueError(f"{x1} is not a neighbor of apex {apex}")
-    i = ra.index(x1)
-    x2, x3, x4 = ra[(i + 1) % d], ra[(i + 2) % d], ra[(i + 3) % d]
-    if len({apex, x1, x2, x3, x4}) != 5:
-        raise ValueError("fan vertices are not pairwise distinct")
-    return _insert_vertex(t, (apex, x1, x2, x3, x4), ((apex, x2), (apex, x3)))
 
 
 def successors(t: Triangulation, auts: Sequence[Sequence[int]] = ()

@@ -39,9 +39,10 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1, adjacency as bitmasks.
 
     Instances are treated as immutable values; all operations that "modify"
-    a graph return a new one.  The constructor does not validate (it sits on
-    hot paths such as edge contraction); use :meth:`from_edges` for checked
-    construction and :meth:`check` in tests.
+    a graph return a new one.  The constructor does not validate: it sits on
+    hot paths such as edge contraction, and its callers (the underlying graph
+    of a checked triangulation, a contraction, the graph6 reader) pass
+    symmetric masks without loops.
     """
 
     __slots__ = ("n", "adj", "full")
@@ -50,43 +51,6 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self.full = (1 << n) - 1
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Tuple[int, int]]) -> "Graph":
-        if n < 1:
-            raise ValueError(f"order must be at least 1, got {n}")
-        adj = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for order {n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return cls(n, adj)
-
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        full = (1 << n) - 1
-        return cls(n, [full ^ (1 << v) for v in range(n)])
-
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def cycle(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-    @classmethod
-    def star(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(0, i) for i in range(1, n)])
-
-    @classmethod
-    def wheel(cls, n: int) -> "Graph":
-        """Hub n-1 joined to a cycle on 0..n-2."""
-        rim = [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
-        return cls.from_edges(n, rim + [(n - 1, i) for i in range(n - 1)])
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -108,20 +72,6 @@ class Graph:
                 out.append((u, base + b.bit_length() - 1))
                 m ^= b
         return out
-
-    def check(self) -> "Graph":
-        """Validate simplicity invariants; returns self so calls chain."""
-        if self.n < 1:
-            raise ValueError(f"order {self.n} out of range")
-        for v, m in enumerate(self.adj):
-            if m >> v & 1:
-                raise ValueError(f"loop at vertex {v}")
-            if m & ~self.full:
-                raise ValueError(f"adjacency of {v} mentions vertices >= {self.n}")
-            for u in bits(m):
-                if not self.adj[u] >> v & 1:
-                    raise ValueError(f"asymmetric edge ({v},{u})")
-        return self
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

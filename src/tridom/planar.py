@@ -55,7 +55,7 @@ generation uses them to decide a child whose new vertex ties with others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, is_connected
 
@@ -193,19 +193,6 @@ def verify_triangulation(t: Triangulation) -> ValidityReport:
     return ValidityReport(True)
 
 
-def relabel(t: Triangulation, perm: Sequence[int]) -> Triangulation:
-    """Rename vertex v to perm[v]."""
-    rot = [()] * t.n
-    for v, r in enumerate(t.rot):
-        rot[perm[v]] = tuple(perm[u] for u in r)
-    return Triangulation(t.n, rot)
-
-
-def mirror(t: Triangulation) -> Triangulation:
-    """The reflected embedding: every rotation reversed."""
-    return Triangulation(t.n, tuple(r[::-1] for r in t.rot))
-
-
 def _root_edges(rot, degs: List[int], d: int) -> List[Tuple[int, List[int]]]:
     """The root edges (u0, v0) that can start the least code: every u0 of
     degree d, with the ends v0 that are chords of its link or plain of the
@@ -332,78 +319,6 @@ def canonical_form(t: Triangulation) -> Triangulation:
     lists are exactly the blocks of the canonical code.
     """
     return triangulation_from_code(canonical_code(t))
-
-
-def from_face_list(n: int, triangles: Iterable[Tuple[int, int, int]]) -> Triangulation:
-    """Build a rotation system from the face list of a triangulated sphere.
-
-    Faces are given as vertex triples; a consistent global orientation is
-    chosen by propagation from the first face (kept in its given order, so
-    callers control which directed faces exist).  Raises ValueError if the
-    triangles do not close up into a sphere triangulation.
-    """
-    tris = [tuple(f) for f in triangles]
-    by_edge: Dict[Tuple[int, int], List[int]] = {}
-    for idx, (a, b, c) in enumerate(tris):
-        if len({a, b, c}) != 3:
-            raise ValueError(f"degenerate triangle {tris[idx]}")
-        for u, v in ((a, b), (b, c), (c, a)):
-            by_edge.setdefault((min(u, v), max(u, v)), []).append(idx)
-    for e, inc in by_edge.items():
-        if len(inc) != 2 or inc[0] == inc[1]:
-            raise ValueError(f"edge {e} must lie in exactly 2 distinct triangles")
-
-    def directed_edges(f: Tuple[int, int, int]) -> Tuple[Tuple[int, int], ...]:
-        a, b, c = f
-        return ((a, b), (b, c), (c, a))
-
-    oriented: List[Optional[Tuple[int, int, int]]] = [None] * len(tris)
-    oriented[0] = tris[0]
-    stack = [0]
-    while stack:
-        idx = stack.pop()
-        for u, v in directed_edges(oriented[idx]):  # type: ignore[arg-type]
-            key = (min(u, v), max(u, v))
-            j = by_edge[key][1] if by_edge[key][0] == idx else by_edge[key][0]
-            if oriented[j] is None:
-                x, y, z = tris[j]
-                # orient j so it carries the opposite directed edge (v, u)
-                cand = (x, y, z) if (v, u) in directed_edges((x, y, z)) else (x, z, y)
-                if (v, u) not in directed_edges(cand):
-                    raise ValueError("faces cannot be oriented consistently")
-                oriented[j] = cand
-                stack.append(j)
-            elif (v, u) not in directed_edges(oriented[j]):
-                raise ValueError("faces cannot be oriented consistently")
-    if any(f is None for f in oriented):
-        raise ValueError("face complex is disconnected")
-    succ: List[Dict[int, int]] = [dict() for _ in range(n)]
-    for f in oriented:
-        a, b, c = f  # type: ignore[misc]
-        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            # tracing (u, v) -> (v, w): w follows u in the rotation at v
-            if u in succ[v]:
-                raise ValueError(f"directed edge ({u},{v}) used twice")
-            succ[v][u] = w
-    rot: List[Tuple[int, ...]] = []
-    for v in range(n):
-        if not succ[v]:
-            raise ValueError(f"vertex {v} lies in no face")
-        start = min(succ[v])
-        cyc = [start]
-        while True:
-            nxt = succ[v].get(cyc[-1])
-            if nxt is None:
-                raise ValueError(f"rotation at {v} is not closed")
-            if nxt == start:
-                break
-            cyc.append(nxt)
-            if len(cyc) > len(succ[v]):
-                raise ValueError(f"rotation at {v} is not a single cycle")
-        if len(cyc) != len(succ[v]):
-            raise ValueError(f"rotation at {v} splits into several cycles")
-        rot.append(tuple(cyc))
-    return Triangulation(n, rot)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,19 @@ production code emits as it changes.  So do the move builders
 rotation rows by hand, sharing no code with ``generate._insert_vertex``.
 ``collapse_deg5``, the inverse of a degree-5 insertion, edits them by hand
 too; it is the reducibility tests' reference.
+
+The constructors at the top build the tests' inputs: checked graphs and
+small graph families, relabelled and mirrored embeddings, and
+triangulations from face lists (``from_face_list``, which builds the
+octahedron, the polygon cones, glued pairs and capped antiprisms).
+``rows_from_csv`` and ``same_counts`` read and compare census rows.  The
+package runs none of them.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -44,10 +53,198 @@ from tridom.graphs import (
     is_dominating,
     vset,
 )
-from tridom.planar import (Face, Triangulation, ValidityReport, canonical_code, faces,
-                           from_face_list, is_face, underlying_graph, verify_triangulation)
-from tridom.generate import K4, expand_deg3, opposite_vertices
+from tridom.planar import (Face, Triangulation, ValidityReport, canonical_code, faces, is_face,
+                           underlying_graph, verify_triangulation)
+from tridom.generate import K4
+from tridom.census import _CSV_FIELDS, GAMMA_C_COLUMNS, CensusRow
 
+
+# ---------------------------------------------------------------------------
+# Constructors the tests build inputs with: checked graphs, small graph
+# families, relabelled and mirrored embeddings, triangulations from face lists.
+
+def graph_from_edges(n: int, edges: Iterable[Tuple[int, int]]) -> Graph:
+    """The graph of order n with these edges; raises ValueError on a loop,
+    an end out of range or an order below 1."""
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
+    adj = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for order {n}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, adj)
+
+
+def complete_graph(n: int) -> Graph:
+    full = (1 << n) - 1
+    return Graph(n, [full ^ (1 << v) for v in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def star_graph(n: int) -> Graph:
+    return graph_from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def wheel_graph(n: int) -> Graph:
+    """Hub n-1 joined to a cycle on 0..n-2."""
+    rim = [(i, (i + 1) % (n - 1)) for i in range(n - 1)]
+    return graph_from_edges(n, rim + [(n - 1, i) for i in range(n - 1)])
+
+
+def check_graph(g: Graph) -> Graph:
+    """Validate simplicity invariants; returns g so calls chain."""
+    if g.n < 1:
+        raise ValueError(f"order {g.n} out of range")
+    for v, m in enumerate(g.adj):
+        if m >> v & 1:
+            raise ValueError(f"loop at vertex {v}")
+        if m & ~g.full:
+            raise ValueError(f"adjacency of {v} mentions vertices >= {g.n}")
+        for u in bits(m):
+            if not g.adj[u] >> v & 1:
+                raise ValueError(f"asymmetric edge ({v},{u})")
+    return g
+
+
+def relabel(t: Triangulation, perm: List[int]) -> Triangulation:
+    """Rename vertex v to perm[v]."""
+    rot = [()] * t.n
+    for v, r in enumerate(t.rot):
+        rot[perm[v]] = tuple(perm[u] for u in r)
+    return Triangulation(t.n, rot)
+
+
+def mirror(t: Triangulation) -> Triangulation:
+    """The reflected embedding: every rotation reversed."""
+    return Triangulation(t.n, tuple(r[::-1] for r in t.rot))
+
+
+def from_face_list(n: int, triangles: Iterable[Tuple[int, int, int]]) -> Triangulation:
+    """Build a rotation system from the face list of a triangulated sphere.
+
+    Faces are given as vertex triples; a consistent global orientation is
+    chosen by propagation from the first face (kept in its given order, so
+    callers control which directed faces exist).  Raises ValueError if the
+    triangles do not close up into a sphere triangulation.
+    """
+    tris = [tuple(f) for f in triangles]
+    by_edge: Dict[Tuple[int, int], List[int]] = {}
+    for idx, (a, b, c) in enumerate(tris):
+        if len({a, b, c}) != 3:
+            raise ValueError(f"degenerate triangle {tris[idx]}")
+        for u, v in ((a, b), (b, c), (c, a)):
+            by_edge.setdefault((min(u, v), max(u, v)), []).append(idx)
+    for e, inc in by_edge.items():
+        if len(inc) != 2 or inc[0] == inc[1]:
+            raise ValueError(f"edge {e} must lie in exactly 2 distinct triangles")
+
+    def directed_edges(f: Tuple[int, int, int]) -> Tuple[Tuple[int, int], ...]:
+        a, b, c = f
+        return ((a, b), (b, c), (c, a))
+
+    oriented: List[Optional[Tuple[int, int, int]]] = [None] * len(tris)
+    oriented[0] = tris[0]
+    stack = [0]
+    while stack:
+        idx = stack.pop()
+        for u, v in directed_edges(oriented[idx]):  # type: ignore[arg-type]
+            key = (min(u, v), max(u, v))
+            j = by_edge[key][1] if by_edge[key][0] == idx else by_edge[key][0]
+            if oriented[j] is None:
+                x, y, z = tris[j]
+                # orient j so it carries the opposite directed edge (v, u)
+                cand = (x, y, z) if (v, u) in directed_edges((x, y, z)) else (x, z, y)
+                if (v, u) not in directed_edges(cand):
+                    raise ValueError("faces cannot be oriented consistently")
+                oriented[j] = cand
+                stack.append(j)
+            elif (v, u) not in directed_edges(oriented[j]):
+                raise ValueError("faces cannot be oriented consistently")
+    if any(f is None for f in oriented):
+        raise ValueError("face complex is disconnected")
+    succ: List[Dict[int, int]] = [dict() for _ in range(n)]
+    for f in oriented:
+        a, b, c = f  # type: ignore[misc]
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            # tracing (u, v) -> (v, w): w follows u in the rotation at v
+            if u in succ[v]:
+                raise ValueError(f"directed edge ({u},{v}) used twice")
+            succ[v][u] = w
+    rot: List[Tuple[int, ...]] = []
+    for v in range(n):
+        if not succ[v]:
+            raise ValueError(f"vertex {v} lies in no face")
+        start = min(succ[v])
+        cyc = [start]
+        while True:
+            nxt = succ[v].get(cyc[-1])
+            if nxt is None:
+                raise ValueError(f"rotation at {v} is not closed")
+            if nxt == start:
+                break
+            cyc.append(nxt)
+            if len(cyc) > len(succ[v]):
+                raise ValueError(f"rotation at {v} is not a single cycle")
+        if len(cyc) != len(succ[v]):
+            raise ValueError(f"rotation at {v} splits into several cycles")
+        rot.append(tuple(cyc))
+    return Triangulation(n, rot)
+
+
+def octahedron() -> Triangulation:
+    """The unique 4-regular plane triangulation on six vertices."""
+    return from_face_list(6, [
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
+        (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4),
+    ])
+
+
+def icosahedron_faces() -> List[Face]:
+    """The icosahedron's twenty faces, from which ``from_face_list`` built
+    ``families.icosahedron`` before its rotation table was stored."""
+    top = [(0, i, i % 5 + 1) for i in range(1, 6)]
+    down = [(i, i % 5 + 1, i + 5) for i in range(1, 6)]
+    up = [(i + 5, i % 5 + 6, i % 5 + 1) for i in range(1, 6)]
+    bottom = [(11, i + 5, i % 5 + 6) for i in range(1, 6)]
+    return top + down + up + bottom
+
+
+# ---------------------------------------------------------------------------
+# Census rows: the CSV reader and a comparison that ignores zero cells and
+# timings.
+
+def rows_from_csv(text: str) -> List[CensusRow]:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != _CSV_FIELDS:
+        raise ValueError(f"unexpected CSV header {header}")
+    rows = []
+    for line in reader:
+        n, total, *cells, wall = line
+        counts = {v: int(c) for v, c in zip(GAMMA_C_COLUMNS, cells) if int(c)}
+        rows.append(CensusRow(int(n), int(total), counts, float(wall)))
+    return rows
+
+
+def same_counts(a: CensusRow, b: CensusRow) -> bool:
+    return (a.n == b.n and a.total == b.total
+            and {k: v for k, v in a.counts_by_gamma_c.items() if v}
+            == {k: v for k, v in b.counts_by_gamma_c.items() if v})
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracles.
 
 def brute_gamma(g: Graph) -> int:
     for k in range(1, g.n + 1):
@@ -203,7 +400,7 @@ def order_width(g: Graph, order: Iterable[int]) -> int:
 def random_connected_graph(rng: random.Random, n: int, p: float) -> Graph:
     while True:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        g = Graph.from_edges(n, edges)
+        g = graph_from_edges(n, edges)
         if n == 1 or induces_connected(g, g.full):
             return g
 
@@ -233,7 +430,7 @@ def reference_insert_deg3(t: Triangulation, f: Face) -> Triangulation:
 def reference_expand_deg4(t: Triangulation, e: Tuple[int, int]) -> Triangulation:
     """Edge e = (a, b) replaced by a new degree-4 vertex joined to a, c, b, d."""
     a, b = e
-    c, d = opposite_vertices(t, e)
+    c, d = t.succ(b, a), t.succ(a, b)
     if c == d:
         raise ValueError(f"edge {e} has coinciding opposite vertices")
     v = t.n
@@ -273,7 +470,7 @@ def reference_expand_deg5(t: Triangulation, apex: int, x1: int) -> Triangulation
 
 
 def collapse_deg5(t: Triangulation, v: int, apex: int) -> Triangulation:
-    """Inverse of expand_deg5: delete degree-5 vertex v, re-fan from apex.
+    """Inverse of a degree-5 insertion: delete degree-5 vertex v, re-fan from apex.
 
     apex must be a neighbor of v; the two pentagon chords from apex are added
     back.  Raises if a chord already exists (the collapse would double it).
@@ -326,8 +523,8 @@ def all_sites(t: Triangulation) -> List[Tuple[Tuple[int, ...], Triangulation]]:
     apex of degree >= 5 (5, the apex, then the sorted pair of its two middle
     neighbours, whose edges to the apex the move removes)."""
     kids = [((3, *sorted(f)), reference_insert_deg3(t, f)) for f in faces(t)]
-    kids += [((4, *e), reference_expand_deg4(t, e)) for e in t.edges()
-             if len(set(opposite_vertices(t, e))) == 2]
+    kids += [((4, a, b), reference_expand_deg4(t, (a, b))) for a, b in t.edges()
+             if t.succ(b, a) != t.succ(a, b)]
     for a in range(t.n):
         ra = t.rot[a]
         if len(ra) >= 5:
@@ -357,10 +554,10 @@ def reference_successors(t: Triangulation) -> Iterator[Triangulation]:
         yield reference_insert_deg3(t, f)
     deg3 = {v for v in range(t.n) if deg[v] == 3}
     if len(deg3) <= 2:
-        for e in t.edges():
-            c, d = opposite_vertices(t, e)
+        for a, b in t.edges():
+            c, d = t.succ(b, a), t.succ(a, b)
             if c != d and deg3 <= {c, d}:
-                yield reference_expand_deg4(t, e)
+                yield reference_expand_deg4(t, (a, b))
     low = {v for v in range(t.n) if deg[v] <= 4}
     if len(low) <= 2 and not deg3:
         for a in range(t.n):
@@ -519,7 +716,7 @@ def glued_on_a_face(t1: Triangulation, f1: Face, t2: Triangulation, f2: Face) ->
     glued along their triangles (a, b, u), the second one reversed.  The two
     copies of u become one vertex of degree 4 whose link has a chord, the
     edge a-b; no other degree drops."""
-    s1, s2 = expand_deg3(t1, f1), expand_deg3(t2, f2)
+    s1, s2 = reference_insert_deg3(t1, f1), reference_insert_deg3(t2, f2)
     (a1, b1, _), (a2, b2, _) = f1, f2
     phi = {t2.n: t1.n, a2: b1, b2: a1}
     for v in range(s2.n):

@@ -27,7 +27,6 @@ from tridom.domination import (
     gamma_c_by_contraction,
 )
 from tridom.graphs import (
-    Graph,
     enumerate_connected_sets,
     graph6_read,
     graph6_write,
@@ -36,22 +35,26 @@ from tridom.graphs import (
 )
 from tridom.planar import (
     canonical_code,
-    mirror,
     planar_code_read,
     planar_code_write,
-    relabel,
     underlying_graph,
 )
 
 from helpers import (
     MISPRINTED_CELLS,
     assemble_triangulations,
+    complete_graph,
     cone_triangulations,
+    cycle_graph,
+    mirror,
+    path_graph,
     powerset_connected_sets,
     random_connected_graph,
     random_permutation,
     random_triangulation,
     reference_errata,
+    relabel,
+    wheel_graph,
 )
 
 
@@ -338,7 +341,7 @@ def test_criterion_10_round_trips(levels_to_11):
 
 def test_criterion_10_connected_sets_vs_powerset():
     rng = random.Random(19)
-    graphs = [Graph.complete(4), Graph.path(6), Graph.cycle(8), Graph.wheel(7)]
+    graphs = [complete_graph(4), path_graph(6), cycle_graph(8), wheel_graph(7)]
     graphs += [random_connected_graph(rng, 8, 0.35) for _ in range(4)]
     ok = True
     for g in graphs:

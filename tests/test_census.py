@@ -15,17 +15,16 @@ from tridom.census import (
     levels_from_planar_code,
     results_from_json,
     results_to_json,
-    rows_from_csv,
     rows_to_csv,
     verify_corpus,
 )
 from tridom.domination import exact_gamma, exact_gamma_c
 from tridom.generate import levels, triangulations
 from tridom.graphs import bits, induces_connected, is_dominating
-from tridom.planar import mirror, planar_code_write, relabel
+from tridom.planar import planar_code_write
 
-from helpers import (automorphisms, count_codings, reference_successors, screened_sites,
-                     site_image)
+from helpers import (automorphisms, count_codings, mirror, reference_successors, relabel,
+                     rows_from_csv, same_counts, screened_sites, site_image)
 
 
 def test_census_counts_small(census_default):
@@ -89,9 +88,9 @@ def test_census_deterministic_across_worker_counts():
     rows2 = census_records(5, 8, workers=2)[0]
     rows8 = census_records(5, 8, workers=8)[0]
     for a, b in zip(rows1, rows2):
-        assert a.same_counts(b)
+        assert same_counts(a, b)
     for a, b in zip(rows1, rows8):
-        assert a.same_counts(b)
+        assert same_counts(a, b)
 
     def fields(records):
         return [(r.n, r.code, r.gamma_c, r.gamma_c_witness, r.method, r.Delta)
@@ -264,11 +263,19 @@ _ROW = {"n": 9, "total": 50, "counts": {"1": 12, "2": 37, "3": 1}, "wall_time": 
     ([], {"n": 9}, r"^census JSON: 'records' is missing or not a list$"),
     ([], _WHOLE, r"^census JSON must be an object, not list$"),
     (5, _WHOLE, r"^census JSON must be an object, not int$"),
+    ([{**_ROW, "counts": {"1": 12, "01": 38}}], [],
+     r"^row n=9: count key '01' is not a gamma_c >= 1 in decimal$"),
+    ([{**_ROW, "counts": {"0": 50}}], [], r"^row n=9: count key '0' is not a gamma_c >= 1 "),
+    ([{**_ROW, "counts": {"1": -3, "2": 999}}], [], r"^row n=9: counts must not be negative$"),
+    ([{**_ROW, "counts": {"1": True, "2": 49}}], [], r"^row n=9: n, total and counts must be "),
+    ([{**_ROW, "counts": {"1": 12, "2": 37}}], [], r"^row n=9: counts sum to 49, not total 50$"),
 ])
 def test_json_rows_and_non_object_records_are_checked_on_load(rows, records, message):
-    """A malformed row, a record that is not an object, or a payload that is
-    not an object with lists rows and records raises ValueError naming it;
-    the well-formed row loads."""
+    """A malformed row (a count key that is not the decimal string of a
+    gamma_c >= 1, a count that is negative or not an int, counts that do not
+    sum to total), a record that is not an object, or a payload that is not
+    an object with lists rows and records raises ValueError naming it; the
+    well-formed row loads."""
     (row,), _ = results_from_json(json.dumps({"rows": [_ROW], "records": []}))
     assert (row.n, row.total, row.counts_by_gamma_c) == (9, 50, {1: 12, 2: 37, 3: 1})
     payload = {key: v for key, v in (("rows", rows), ("records", records)) if v is not _DROP}
@@ -283,7 +290,7 @@ def test_census_from_planar_code_matches_native():
     rows, records = census_records(6, 7, levels=levels)
     native_rows, native_records = census_records(6, 7)
     for a, b in zip(rows, native_rows):
-        assert a.same_counts(b)
+        assert same_counts(a, b)
     assert [r.code for r in records] == [r.code for r in native_records]
 
 

@@ -6,11 +6,12 @@ from hypothesis import given, strategies as st
 
 from tridom import cli, domination
 from tridom.cli import main
-from tridom.graphs import Graph, graph6_read, graph6_write
-from tridom.planar import (Triangulation, planar_code_read, planar_code_write, relabel,
-                           underlying_graph)
-from tridom.families import family, icosahedron, octahedron
+from tridom.graphs import graph6_read, graph6_write
+from tridom.planar import Triangulation, planar_code_read, planar_code_write, underlying_graph
+from tridom.families import family, icosahedron
 from tridom.generate import triangulations
+
+from helpers import complete_graph, octahedron, relabel, rows_from_csv
 
 
 def test_generate_planar_code(tmp_path, capsys):
@@ -131,7 +132,7 @@ def test_solve_reports_a_failed_graph6_witness_check_per_record(tmp_path, capsys
     ico = underlying_graph(icosahedron())
     inp = tmp_path / "k4_ico_k4.g6"
     inp.write_text(f"C~\n{graph6_write(ico)}\nC~\n")
-    answers = {g.n: cli.exact_gamma_c(g) for g in (Graph.complete(4), ico)}
+    answers = {g.n: cli.exact_gamma_c(g) for g in (complete_graph(4), ico)}
     monkeypatch.setattr(domination, "_closed",
                         lambda g, _closed=domination._closed:
                         [g.full] * g.n if g.n == 12 else _closed(g))
@@ -215,12 +216,30 @@ def test_census_writes_csv_and_json(tmp_path, capsys):
     json_path = tmp_path / "res.json"
     assert main(["census", "--n-min", "5", "--n-max", "7",
                  "--csv", str(csv_path), "--json", str(json_path)]) == 0
-    from tridom.census import results_from_json, rows_from_csv
+    from tridom.census import results_from_json
     rows = rows_from_csv(csv_path.read_text())
     assert [r.n for r in rows] == [5, 6, 7]
     rows2, records = results_from_json(json_path.read_text())
     assert rows2 == rows
     assert len(records) == 1 + 2 + 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "5", "--out"],
+    ["family", "--which", "A", "--k", "5", "--out"],
+    ["census", "--n-max", "5", "--csv"],
+    ["census", "--n-max", "5", "--json"],
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    """An output path in a missing directory exits 2 with one line naming
+    the path and the reason, not a traceback."""
+    path = tmp_path / "missing" / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {path}: No such file or directory" in err
+    assert "Traceback" not in err
 
 
 def test_census_ingests_planar_code(tmp_path, capsys):

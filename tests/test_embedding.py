@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tridom.generate import K4, triangulations
-from tridom.graphs import Graph
 from tridom.planar import (
     PLANAR_CODE_HEADER,
     Triangulation,
@@ -15,22 +14,20 @@ from tridom.planar import (
     canonical_code,
     canonical_form,
     faces,
-    from_face_list,
     is_face,
-    mirror,
     planar_code_iter,
     planar_code_read,
     planar_code_write,
-    relabel,
     triangulation_from_code,
     underlying_graph,
     verify_triangulation,
 )
-from tridom.families import icosahedron, octahedron
+from tridom.families import icosahedron
 
-from helpers import (capped_antiprism, glued_on_a_face, is_chord_root_edge, random_permutation,
+from helpers import (capped_antiprism, complete_graph, from_face_list, glued_on_a_face,
+                     is_chord_root_edge, mirror, octahedron, random_permutation,
                      random_triangulation, reference_faces, reference_min_code,
-                     reference_triangulation_from_code, reference_verify_triangulation,
+                     reference_triangulation_from_code, reference_verify_triangulation, relabel,
                      root_edges_of_least_code)
 
 
@@ -201,7 +198,7 @@ def test_triangulation_from_code_rejects_bad_blocks(code, message):
 
 
 def test_underlying_graph():
-    assert underlying_graph(K4) == Graph.complete(4)
+    assert underlying_graph(K4) == complete_graph(4)
     assert underlying_graph(octahedron()).degrees() == [4] * 6
     t9 = triangulations(9)[0]
     assert underlying_graph(t9).edge_count() == 21  # 3n-6

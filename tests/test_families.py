@@ -20,22 +20,21 @@ from tridom.families import (
     family_base,
     icosa_chain,
     icosahedron,
-    octahedron,
     octahedron_sum,
 )
 from tridom.generate import K4
-from tridom.graphs import Graph, graph6_write, induces_connected, is_dominating, vset
+from tridom.graphs import graph6_write, induces_connected, is_dominating, vset
 from tridom.planar import (
     canonical_code,
     faces,
     is_face,
     planar_code_write,
-    relabel,
     underlying_graph,
     verify_triangulation,
 )
 
-from helpers import reference_octahedron_sum
+from helpers import (check_graph, from_face_list, graph_from_edges, icosahedron_faces, octahedron,
+                     reference_octahedron_sum, relabel)
 
 # The sum reports live in the extremal demo, which is loaded by path.
 _DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -297,6 +296,26 @@ def test_icosahedron_stats():
     assert exact_gamma_c(g).value == 4
 
 
+#: sha256 of repr([icosa_chain(k).rot for k in 2..12]), taken when the
+#: icosahedron was still built by tracing its face list.
+CHAIN_DIGEST_2_TO_12 = "87ae6cfe0fa375e53bb700e1019d079b63a80df276c130c424884b53210a934b"
+
+
+def test_icosahedron_is_stored_data():
+    """The stored rotation table is the one the face list gives, with every
+    label in place: it is a triangulation with the face (0, 1, 2), its code is
+    the only 5-regular class of order 12, and the chains built on it keep
+    their rows."""
+    ico = icosahedron()
+    assert ico.rot == from_face_list(12, icosahedron_faces()).rot
+    assert verify_triangulation(ico).ok
+    assert is_face(ico, (0, 1, 2))
+    order12 = next(level for n, level in generate.levels(12) if n == 12)
+    regular = [code for code, t in order12.items() if all(len(r) == 5 for r in t.rot)]
+    assert regular == [canonical_code(ico)]
+    assert _digest([icosa_chain(k).rot for k in range(2, 13)]) == CHAIN_DIGEST_2_TO_12
+
+
 def test_icosahedron_code_same_from_every_face():
     """Re-rooting the designated outer face anywhere leaves the canonical
     code unchanged (the graph is face-transitive)."""
@@ -338,8 +357,8 @@ def test_only_the_formats_cap_the_order():
     t = icosa_chain(13)
     assert t.n == 132 and verify_triangulation(t).ok
     g = underlying_graph(t)
-    assert g.check() is g
-    assert Graph.from_edges(130, [(v, v + 1) for v in range(129)]).edge_count() == 129
+    assert check_graph(g) is g
+    assert graph_from_edges(130, [(v, v + 1) for v in range(129)]).edge_count() == 129
     with pytest.raises(ValueError, match="below 128"):
         planar_code_write([t])
     with pytest.raises(ValueError, match="exceeds 128"):

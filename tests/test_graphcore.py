@@ -20,7 +20,9 @@ from tridom.graphs import (
 from tridom.planar import underlying_graph
 from tridom.families import icosahedron
 
-from helpers import powerset_connected_sets, random_connected_graph
+from helpers import (check_graph, complete_graph, cycle_graph, graph_from_edges, octahedron,
+                     path_graph, powerset_connected_sets, random_connected_graph, star_graph,
+                     wheel_graph)
 
 
 def test_vset_bits_round_trip():
@@ -30,30 +32,30 @@ def test_vset_bits_round_trip():
 
 
 def test_graph_constructors_and_checks():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
     assert g.degrees() == [1, 2, 1]
     assert g.edges() == [(0, 1), (1, 2)]
-    g.check()
+    check_graph(g)
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 0)])
+        graph_from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 5)])
+        graph_from_edges(3, [(0, 5)])
     with pytest.raises(ValueError):
-        Graph.from_edges(0, [])
+        graph_from_edges(0, [])
     with pytest.raises(ValueError):
-        Graph(3, [0b010, 0b000, 0b010]).check()  # asymmetric
+        check_graph(Graph(3, [0b010, 0b000, 0b010]))  # asymmetric
 
 
 def test_all_constructors_produce_simple_symmetric_graphs():
-    for g in (Graph.complete(6), Graph.path(5), Graph.cycle(7), Graph.star(6),
-              Graph.wheel(8), Graph.from_edges(4, [(0, 1), (2, 3), (1, 2)])):
-        g.check()
+    for g in (complete_graph(6), path_graph(5), cycle_graph(7), star_graph(6),
+              wheel_graph(8), graph_from_edges(4, [(0, 1), (2, 3), (1, 2)])):
+        check_graph(g)
 
 
 def test_closed_neighborhood():
-    k4 = Graph.complete(4)
+    k4 = complete_graph(4)
     assert closed_neighborhood(k4, 0) == vset([0, 1, 2, 3])
-    p3 = Graph.path(3)
+    p3 = path_graph(3)
     assert closed_neighborhood(p3, 0) == vset([0, 1])
     with pytest.raises(ValueError):
         closed_neighborhood(p3, 3)
@@ -67,9 +69,9 @@ def test_icosahedron_closed_neighborhoods_are_six():
 
 
 def test_is_dominating_basics():
-    k4 = Graph.complete(4)
+    k4 = complete_graph(4)
     assert is_dominating(k4, vset([0]))
-    p3 = Graph.path(3)
+    p3 = path_graph(3)
     assert is_dominating(p3, vset([1]))
     assert not is_dominating(p3, vset([0]))
     with pytest.raises(ValueError):
@@ -98,10 +100,10 @@ def test_domination_monotone_under_supersets():
 
 
 def test_induces_connected():
-    p3 = Graph.path(3)
+    p3 = path_graph(3)
     assert induces_connected(p3, vset([0]))
     assert not induces_connected(p3, vset([0, 2]))
-    c5 = Graph.cycle(5)
+    c5 = cycle_graph(5)
     assert induces_connected(c5, vset([0, 1, 2]))
     assert not induces_connected(c5, vset([0, 2]))
     with pytest.raises(ValueError):
@@ -109,27 +111,26 @@ def test_induces_connected():
 
 
 def test_degree_stats():
-    assert degree_stats(Graph.complete(4)) == (3, 3, 0)
-    from tridom.families import octahedron
+    assert degree_stats(complete_graph(4)) == (3, 3, 0)
     assert degree_stats(underlying_graph(octahedron())) == (4, 4, 0)
-    w7 = Graph.wheel(7)
+    w7 = wheel_graph(7)
     assert degree_stats(w7) == (3, 6, 6)  # hub is vertex 6
 
 
 def test_enumerate_connected_sets_counts():
-    k3 = Graph.complete(3)
+    k3 = complete_graph(3)
     assert enumerate_connected_sets(k3, 2, lambda s: None) == 6
-    p3 = Graph.path(3)
+    p3 = path_graph(3)
     twos = []
     enumerate_connected_sets(p3, 2, lambda s: twos.append(s) if s.bit_count() == 2 else None)
     assert sorted(twos) == [vset([0, 1]), vset([1, 2])]
-    k4 = Graph.complete(4)
+    k4 = complete_graph(4)
     assert enumerate_connected_sets(k4, 3, lambda s: None) == 14
 
 
 def test_enumerate_connected_sets_matches_powerset_filter():
     rng = random.Random(11)
-    graphs = [Graph.complete(4), Graph.path(6), Graph.cycle(7), Graph.star(5)]
+    graphs = [complete_graph(4), path_graph(6), cycle_graph(7), star_graph(5)]
     graphs += [random_connected_graph(rng, n, 0.45) for n in (5, 6, 7, 8)]
     for g in graphs:
         for max_size in (1, 3, g.n):
@@ -140,7 +141,7 @@ def test_enumerate_connected_sets_matches_powerset_filter():
 
 
 def test_enumerate_connected_sets_deterministic_order():
-    g = Graph.cycle(6)
+    g = cycle_graph(6)
     a, b = [], []
     enumerate_connected_sets(g, 4, a.append)
     enumerate_connected_sets(g, 4, b.append)
@@ -148,7 +149,7 @@ def test_enumerate_connected_sets_deterministic_order():
 
 
 def test_enumerate_connected_sets_early_stop_and_prune():
-    g = Graph.complete(5)
+    g = complete_graph(5)
     seen = []
 
     def stop_after_three(s):
@@ -169,15 +170,15 @@ def test_enumerate_connected_sets_early_stop_and_prune():
 
 
 def test_graph6_known_encodings():
-    assert graph6_write(Graph.complete(4)) == "C~"
-    assert graph6_write(Graph.complete(3)) == "Bw"
-    assert graph6_write(Graph.path(3)) == "Bg"
+    assert graph6_write(complete_graph(4)) == "C~"
+    assert graph6_write(complete_graph(3)) == "Bw"
+    assert graph6_write(path_graph(3)) == "Bg"
     assert graph6_write(Graph(5, [0] * 5)) == "D??"  # empty 5-vertex graph
 
 
 def test_graph6_round_trips():
     rng = random.Random(3)
-    cases = [Graph.complete(4), Graph(5, [0] * 5), Graph.cycle(9),
+    cases = [complete_graph(4), Graph(5, [0] * 5), cycle_graph(9),
              underlying_graph(icosahedron())]
     cases += [random_connected_graph(rng, n, 0.3) for n in (10, 30, 63, 70)]
     for g in cases:
@@ -204,7 +205,7 @@ def test_graph6_errors():
         graph6_read("C\x10")  # character out of range
     with pytest.raises(ValueError):
         graph6_read("?")  # order 0
-    assert graph6_read(">>graph6<<C~") == Graph.complete(4)
+    assert graph6_read(">>graph6<<C~") == complete_graph(4)
 
 
 @given(st.text(max_size=40) | st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=128),

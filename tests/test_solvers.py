@@ -32,23 +32,32 @@ from tridom.graphs import (
     vset,
 )
 from tridom.generate import levels
-from tridom.planar import Triangulation, relabel, underlying_graph
-from tridom.families import family, icosa_chain, icosahedron, octahedron
+from tridom.planar import Triangulation, underlying_graph
+from tridom.families import family, icosa_chain, icosahedron
 
 from helpers import (
     brute_gamma,
     brute_gamma_c,
     brute_minimum_dominating_sets,
+    check_graph,
+    complete_graph,
+    cycle_graph,
+    graph_from_edges,
+    octahedron,
     order_width,
+    path_graph,
     random_connected_graph,
     random_permutation,
     reference_gamma,
     reference_minimum_cds,
+    relabel,
+    star_graph,
+    wheel_graph,
 )
 
 
 def test_exact_gamma_examples():
-    assert exact_gamma(Graph.complete(4)).value == 1
+    assert exact_gamma(complete_graph(4)).value == 1
     ico = underlying_graph(icosahedron())
     cert = exact_gamma(ico)
     assert cert.value == 2
@@ -75,9 +84,9 @@ def test_exact_gamma_certificates_match_reference_search(levels_to_11):
     rng = random.Random(61)
     graphs += [random_connected_graph(rng, rng.randint(2, 25), rng.choice((0.15, 0.3)))
                for _ in range(60)]
-    graphs += [Graph.from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
+    graphs += [graph_from_edges(n, [(v, rng.randrange(v)) for v in range(1, n)])
                for n in (1, 2, 9, 17, 24, 30)]
-    graphs += [Graph.cycle(n) for n in (3, 10, 19, 27)]
+    graphs += [cycle_graph(n) for n in (3, 10, 19, 27)]
     graphs += [underlying_graph(family(which, k)) for which in "AB" for k in range(5, 13)]
     graphs += [underlying_graph(icosa_chain(k)) for k in (2, 3, 4)]
     for g in graphs:
@@ -86,7 +95,7 @@ def test_exact_gamma_certificates_match_reference_search(levels_to_11):
 
 
 def test_exact_gamma_rejects_disconnected():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    g = graph_from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         exact_gamma(g)
     with pytest.raises(ValueError):
@@ -94,7 +103,7 @@ def test_exact_gamma_rejects_disconnected():
 
 
 def test_exact_gamma_c_examples():
-    p5 = Graph.path(5)
+    p5 = path_graph(5)
     cert = exact_gamma_c(p5)
     assert cert.value == 3
     assert cert.witness == vset([1, 2, 3])
@@ -122,9 +131,9 @@ def test_gamma_le_gamma_c_everywhere():
 
 
 def test_all_minimum_cds():
-    k4 = Graph.complete(4)
+    k4 = complete_graph(4)
     assert all_minimum_cds(k4) == [vset([v]) for v in range(4)]
-    star = Graph.star(5)
+    star = star_graph(5)
     assert all_minimum_cds(star) == [vset([0])]
     oc = underlying_graph(octahedron())
     minima = all_minimum_cds(oc)
@@ -151,7 +160,7 @@ def test_all_minimum_cds_complete_against_powerset(levels_to_9):
 
 
 def test_bfs_tree_cds_examples():
-    w8 = Graph.wheel(8)
+    w8 = wheel_graph(8)
     cert = bfs_tree_cds(w8)
     assert cert.value == 1 and cert.witness == vset([7])  # hub only
     assert cert.method == METHOD_BFS_TREE
@@ -173,15 +182,15 @@ def test_bfs_tree_cds_is_always_a_cds_within_bound():
 
 
 def test_contract_edge_examples():
-    k4 = Graph.complete(4)
-    assert contract_edge(k4, (0, 1)) == Graph.complete(3)
+    k4 = complete_graph(4)
+    assert contract_edge(k4, (0, 1)) == complete_graph(3)
     oc = underlying_graph(octahedron())
     for e in oc.edges():
         minor = contract_edge(oc, e)
         assert minor.n == 5
         assert minor.degree(min(e)) == 4  # merged vertex is universal
-    p3 = Graph.path(3)
-    assert contract_edge(p3, (0, 1)) == Graph.path(2)
+    p3 = path_graph(3)
+    assert contract_edge(p3, (0, 1)) == path_graph(2)
     with pytest.raises(ValueError):
         contract_edge(oc, (0, 5))  # antipodes: not an edge
 
@@ -189,13 +198,13 @@ def test_contract_edge_examples():
 def test_contract_edge_relabeling_convention():
     # path 0-1-2-3, contract (1, 3): illegal (not an edge); contract (2, 3):
     # merged vertex keeps label 2, nothing above shifts
-    p4 = Graph.path(4)
+    p4 = path_graph(4)
     m = contract_edge(p4, (2, 3))
-    assert m == Graph.path(3)
+    assert m == path_graph(3)
     # contract (0, 1) of the 4-cycle: vertices 2,3 shift down to 1,2
-    c4 = Graph.cycle(4)
+    c4 = cycle_graph(4)
     m = contract_edge(c4, (0, 1))
-    assert m == Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    assert m == graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
 
 
 def test_contract_edge_keeps_graph_simple():
@@ -203,16 +212,16 @@ def test_contract_edge_keeps_graph_simple():
     for _ in range(30):
         g = random_connected_graph(rng, rng.randint(2, 10), 0.4)
         e = g.edges()[rng.randrange(g.edge_count())]
-        contract_edge(g, e).check()
+        check_graph(contract_edge(g, e))
 
 
 def test_contraction_search_examples():
-    w8 = Graph.wheel(8)
+    w8 = wheel_graph(8)
     assert contraction_search(w8, 0) == ()
     oc = underlying_graph(octahedron())
     assert contraction_search(oc, 0) is None
     assert contraction_search(oc, 1) == ((0, 1),)  # lexicographically least edge
-    p5 = Graph.path(5)
+    p5 = path_graph(5)
     assert contraction_search(p5, 1) is None  # no single contraction helps on P5
     assert contraction_search(p5, 10) is None  # k larger than any tree
 
@@ -236,7 +245,7 @@ def test_contraction_search_returns_lex_least_witness():
                 span |= (1 << u) | (1 << v)
             if span.bit_count() != k + 1:  # not a tree
                 continue
-            sub = Graph.from_edges(g.n, combo)
+            sub = graph_from_edges(g.n, combo)
             seen = span & -span
             frontier = seen
             while frontier:
@@ -254,7 +263,7 @@ def test_contraction_search_returns_lex_least_witness():
 
 
 def test_gamma_c_by_contraction_examples():
-    assert gamma_c_by_contraction(Graph.complete(4)).value == 1
+    assert gamma_c_by_contraction(complete_graph(4)).value == 1
     oc = underlying_graph(octahedron())
     cert = gamma_c_by_contraction(oc)
     assert cert.value == 2 and cert.method == METHOD_CONTRACTION
@@ -420,7 +429,7 @@ def connected_graphs(draw, max_n=12):
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges |= {(u, v) for u, v in draw(st.lists(pairs, max_size=3 * n)) if u != v}
-    return Graph.from_edges(n, edges)
+    return graph_from_edges(n, edges)
 
 
 @given(connected_graphs())
@@ -483,7 +492,7 @@ def test_exact_gamma_c_scans_before_building_tables(monkeypatch, levels_to_11):
 
     monkeypatch.setattr(domination, "_cds_tables", no_tables)
     graphs = [underlying_graph(t) for n in range(5, 11) for t in levels_to_11[n]]
-    for g in graphs + [Graph.complete(6)]:
+    for g in graphs + [complete_graph(6)]:
         cert = exact_gamma_c(g)
         assert cert.value <= 3 and cert.method == METHOD_SUBSET
     with pytest.raises(RuntimeError, match="search tables built"):
@@ -576,7 +585,7 @@ def test_exact_gamma_c_routes_by_frontier_width():
         "A10": underlying_graph(family("A", 10)),
         "chain3": underlying_graph(icosa_chain(3)),
         "A30 relabelled": underlying_graph(relabel(a30, random_permutation(random.Random(3), a30.n))),
-        "K6": Graph.complete(6),
+        "K6": complete_graph(6),
         "icosahedron": underlying_graph(icosahedron()),
     }
     methods = {name: exact_gamma_c(g).method for name, g in routed.items()}
