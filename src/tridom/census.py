@@ -4,7 +4,7 @@ Runs the generator level by level, classifies every triangulation, and
 aggregates per-order counts.  A built-in reference table records the known
 counts for orders 5..15 (cells that have never been computed are None and
 are only ever flagged, never asserted).  Records keep the canonical code,
-the certificate and enough to rebuild the graph, so downstream property
+which rebuilds the graph, and the certificate, so downstream property
 checks and extremal queries can re-verify everything independently.
 """
 
@@ -15,7 +15,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from . import generate
 from .domination import (
@@ -64,25 +64,29 @@ class CensusRow:
 
 
 class CensusRecord:
-    """One classified triangulation: certificate plus lazily computed gamma."""
+    """One classified triangulation by its code: certificate plus lazily computed gamma."""
 
-    __slots__ = ("n", "code", "rot", "gamma_c", "gamma_c_witness", "method",
-                 "Delta", "_gamma_cert")
+    __slots__ = ("n", "code", "gamma_c", "gamma_c_witness", "method", "Delta",
+                 "_gamma_cert")
 
-    def __init__(self, n: int, code: bytes, rot, gamma_c: int,
+    def __init__(self, n: int, code: bytes, gamma_c: int,
                  gamma_c_witness: int, method: str, Delta: int,
                  gamma_cert: Optional[DominationCertificate] = None):
         self.n = n
         self.code = code
-        self.rot = rot
         self.gamma_c = gamma_c
         self.gamma_c_witness = gamma_c_witness
         self.method = method
         self.Delta = Delta
         self._gamma_cert = gamma_cert
 
+    @property
+    def rot(self) -> Tuple[Tuple[int, ...], ...]:
+        """The rotation rows, decoded from the code on every access, never cached."""
+        return triangulation_from_code(self.code).rot
+
     def graph(self) -> Graph:
-        return underlying_graph(Triangulation(self.n, self.rot))
+        return underlying_graph(triangulation_from_code(self.code))
 
     @property
     def gamma_certificate(self) -> DominationCertificate:
@@ -149,8 +153,7 @@ class CensusRecord:
                 gamma_cert = DominationCertificate(d["gamma"], gamma_witness, METHOD_SUBSET)
         except (KeyError, TypeError, ValueError) as exc:
             raise _load_error("record", d, exc, "n", "code") from exc
-        return cls(d["n"], code, t.rot, d["gamma_c"], witness, d["method"], d["Delta"],
-                   gamma_cert)
+        return cls(d["n"], code, d["gamma_c"], witness, d["method"], d["Delta"], gamma_cert)
 
     def __repr__(self) -> str:
         return f"CensusRecord(n={self.n}, gamma_c={self.gamma_c}, Delta={self.Delta})"
@@ -165,31 +168,24 @@ def _vertex_set(d: dict, key: str, n: int) -> int:
     return vset(d[key])
 
 
-def _classify_payload(rot) -> Tuple[int, int, str]:
-    cert = classify(Triangulation(len(rot), rot))
-    return cert.value, cert.witness, cert.method
-
-
-def _classify_level(level: Collection[Triangulation], workers: int):
-    """Classify a level; result order matches input order for any worker count."""
-    payloads = [t.rot for t in level]
-    if workers <= 1 or len(level) < 64:
-        return [_classify_payload(r) for r in payloads]
-    from multiprocessing import get_context  # only parallel runs pay for the import
-    ctx = get_context()
-    chunk = max(1, len(payloads) // (workers * 8))
-    with ctx.Pool(workers) as pool:
-        return pool.map(_classify_payload, payloads, chunksize=chunk)
+def _classified(code: bytes, t: Optional[Triangulation] = None) -> tuple:
+    """(code, gamma_c, witness, method, Delta) of a class; t is decoded from
+    the code unless given."""
+    if t is None:
+        t = triangulation_from_code(code)
+    cert = classify(t)
+    return code, cert.value, cert.witness, cert.method, max(map(len, t.rot))
 
 
 def census_records(n_min: int = 5, n_max: int = 11, workers: int = 1,
-                   levels: Optional[Iterable[Tuple[int, Dict[bytes, Triangulation]]]] = None,
+                   levels: Optional[Iterable[Tuple[int, Iterable]]] = None,
                    ) -> Tuple[List[CensusRow], List[CensusRecord]]:
     """Classify every triangulation of each order in [n_min, n_max].
 
     Returns per-order rows plus one record per graph, in code order.  The
-    levels (code -> canonical form) come from ``generate.levels`` unless an
-    iterable of them, say from ``levels_from_planar_code``, is supplied.  A
+    levels, (order, pairs of code and canonical form), come from
+    ``generate.levels`` unless an iterable of them, say from
+    ``levels_from_planar_code``, is supplied; workers get codes alone.  A
     row's wall_time runs from the previous row (or the call's start), so it
     covers producing the level, skipped lower orders included, and
     classifying it; the rows sum to the call.
@@ -200,26 +196,33 @@ def census_records(n_min: int = 5, n_max: int = 11, workers: int = 1,
     records: List[CensusRecord] = []
     source = levels if levels is not None else generate.levels(n_max)
     t0 = time.perf_counter()
-    for n, level in source:
+    for n, pairs in source:
         if n < n_min or n > n_max:
             continue
-        results = _classify_level(level.values(), workers)
+        if workers <= 1:
+            results = (_classified(code, t) for code, t in pairs)
+        else:
+            codes = [code for code, _ in pairs]
+            results = map(_classified, codes)
+            if len(codes) >= 64:
+                from multiprocessing import get_context  # only parallel runs pay for the import
+                with get_context().Pool(workers) as pool:
+                    results = pool.map(_classified, codes, max(1, len(codes) // (8 * workers)))
         counts: Dict[int, int] = {}
-        for (code, t), (value, witness, method) in zip(level.items(), results):
+        for code, value, witness, method, delta in results:
             counts[value] = counts.get(value, 0) + 1
-            records.append(CensusRecord(n, code, t.rot, value, witness, method,
-                                        max(map(len, t.rot))))
+            records.append(CensusRecord(n, code, value, witness, method, delta))
         t1 = time.perf_counter()
-        rows.append(CensusRow(n, len(level), counts, t1 - t0))
+        rows.append(CensusRow(n, sum(counts.values()), counts, t1 - t0))
         t0 = t1
     return rows, records
 
 
-def levels_from_planar_code(data: bytes) -> List[Tuple[int, Dict[bytes, Triangulation]]]:
+def levels_from_planar_code(data: bytes) -> List[Tuple[int, generate.CodeLevel]]:
     """Group an external planar_code corpus into generator-style levels.
 
-    Every input is validated and coded once; each class is decoded once
-    into its canonical form, so the levels match ``generate.levels``.
+    Every input is validated and coded before anything is classified; as in
+    ``generate.levels``, each class is decoded as its level is read.
     """
     by_n: Dict[int, Set[bytes]] = {}
     for t in planar_code_read(data):
@@ -227,7 +230,7 @@ def levels_from_planar_code(data: bytes) -> List[Tuple[int, Dict[bytes, Triangul
         if not report.ok:
             raise ValueError(f"ingested graph is not a triangulation: {report.problem}")
         by_n.setdefault(t.n, set()).add(canonical_code(t))
-    return [(n, generate.level_from_codes(by_n[n])) for n in sorted(by_n)]
+    return [(n, generate.CodeLevel(by_n[n])) for n in sorted(by_n)]
 
 
 @dataclass(frozen=True)

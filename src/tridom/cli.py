@@ -12,7 +12,7 @@ import ast
 import json
 import sys
 from types import CodeType
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from . import census as census_mod
 from . import generate as generate_mod
@@ -61,17 +61,16 @@ def _write_text(path: Optional[str], text: str) -> None:
         _write_bytes(path, text.encode("utf-8"))
 
 
-def _emit_triangulations(level: Dict[bytes, Triangulation], fmt: str,
+def _emit_triangulations(pairs: List[Tuple[bytes, Triangulation]], fmt: str,
                          out: Optional[str]) -> None:
-    """Write the triangulations of a level (canonical code -> triangulation)."""
+    """Write triangulations given as (canonical code, triangulation) pairs."""
     if fmt == "planar_code":
-        _write_bytes(out, planar_code_write(level.values()))
+        _write_bytes(out, planar_code_write(t for _, t in pairs))
     elif fmt == "graph6":
-        _write_text(out, "".join(graph6_write(underlying_graph(t)) + "\n"
-                                 for t in level.values()))
+        _write_text(out, "".join(graph6_write(underlying_graph(t)) + "\n" for _, t in pairs))
     else:  # json: rotation systems plus codes
         payload = [{"n": t.n, "rotations": [list(r) for r in t.rot], "code": code.hex()}
-                   for code, t in level.items()]
+                   for code, t in pairs]
         _write_text(out, json.dumps(payload, indent=1) + "\n")
 
 
@@ -81,6 +80,7 @@ def _cmd_generate(args) -> int:
                          f" got {args.n}")
     for _, level in generate_mod.levels(args.n):
         pass  # the last level yielded is order n
+    level = list(level)
     _emit_triangulations(level, args.format, args.out)
     if args.out not in (None, "-"):
         print(f"wrote {len(level)} triangulations of order {args.n} to {args.out}")
@@ -161,6 +161,8 @@ def _check_range(args, generating: bool = True) -> None:
 def _cmd_census(args) -> int:
     levels = None
     _check_range(args, generating=not args.input)
+    for path in (args.csv, args.json):
+        _write_bytes(path, b"")  # an unwritable path fails now, not after the census
     if args.input:
         try:
             levels = census_mod.levels_from_planar_code(_read_bytes(args.input))
@@ -202,7 +204,7 @@ def _cmd_family(args) -> int:
         try:
             # only json prints the canonical code, and codes stop below order 256
             code = canonical_code(t) if args.format == "json" else b""
-            _emit_triangulations({code: t}, args.format, args.out)
+            _emit_triangulations([(code, t)], args.format, args.out)
         except ValueError as exc:
             raise UsageError(f"--format {args.format}: {exc}") from exc
     if args.values:

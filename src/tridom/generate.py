@@ -54,16 +54,14 @@ kept codes, which still go through a set, repeat only where one vertex of
 degree 4 or 5 has several deletions (two diagonals, or several free apices)
 into different parents or different orbits of sites.
 
-``_insert_vertex`` alone builds every move.  It checks nothing, so
-its callers pass it sites of the parent: ``successors`` its own, and
-``families.octahedron_sum`` a face it has checked, into which it makes three
-insertions.  A degree-3 insertion into a face (a, b, c) of any triangulation
-t, an extremal family member say, is ``_insert_vertex(t, (a, c, b))``.
+``_insert_vertex`` alone builds every move, unchecked: ``successors`` passes
+it its own sites, and ``families.octahedron_sum`` three insertions into a
+face it has checked.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .planar import Triangulation, _min_code, faces, triangulation_from_code
 
@@ -72,16 +70,6 @@ MAX_ORDER = 14
 
 #: K4 with a fixed clockwise rotation system (outer face 0,1,2; center 3).
 K4 = Triangulation(4, ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2)))
-
-
-def _insert_after(seq: Tuple[int, ...], anchor: int, items: Tuple[int, ...]) -> Tuple[int, ...]:
-    i = seq.index(anchor) + 1
-    return seq[:i] + items + seq[i:]
-
-
-def _replace(seq: Tuple[int, ...], old: int, new: int) -> Tuple[int, ...]:
-    i = seq.index(old)
-    return seq[:i] + (new,) + seq[i + 1:]
 
 
 def _cut_at(cut: Tuple[Tuple[int, int], ...], u: int) -> List[int]:
@@ -99,11 +87,15 @@ def _insert_vertex(t: Triangulation, link: Tuple[int, ...],
     rot = list(t.rot)
     for i, u in enumerate(link):
         gone = _cut_at(cut, u) if cut else ()
+        row = rot[u]
         if len(gone) == 1:
-            rot[u] = _replace(rot[u], gone[0], v)
+            j = row.index(gone[0])
+            rot[u] = row[:j] + (v,) + row[j + 1:]
         else:
-            row = tuple(x for x in rot[u] if x not in gone) if gone else rot[u]
-            rot[u] = _insert_after(row, link[(i + 1) % len(link)], (v,))
+            if gone:
+                row = tuple(x for x in row if x not in gone)
+            j = row.index(link[(i + 1) % len(link)]) + 1
+            rot[u] = row[:j] + (v,) + row[j:]
     rot.append(link)
     return Triangulation(v + 1, rot)
 
@@ -120,7 +112,8 @@ def successors(t: Triangulation, auts: Sequence[Sequence[int]] = ()
     is c or d; a degree-5 child at apex a over x1..x4 lowers a and raises x1
     and x4, so it has it iff t has no degree-3 vertex, deg(a) >= 6 and every
     degree-4 vertex is x1 or x4.  Children come face by face in the order of
-    ``faces``, then edge by edge in that of ``t.edges()``, then fan by fan.
+    ``faces``, then edge by edge, each edge (a, b) with a < b once, by a and
+    then by b's place in a's rotation, then fan by fan.
 
     A site is skipped if some s in auts (vertex x to s[x]) maps it to a
     smaller key.  Keys ignore orientation, so reflections may be in auts: a
@@ -221,33 +214,47 @@ def _automorphisms(labels: List[List[int]]) -> Tuple[List[int], ...]:
     return tuple(auts)
 
 
-def levels(n_max: int) -> Iterator[Tuple[int, Dict[bytes, Triangulation]]]:
-    """Yield (order, level) level by level from K4 up to n_max.
+def levels(n_max: int) -> Iterator[Tuple[int, Iterable[Tuple[bytes, Triangulation]]]]:
+    """Yield (order, pairs) level by level from K4 up to n_max.
 
-    A level maps the canonical code of each class to its canonical form
-    (``triangulation_from_code`` of the code), in code order, so the output
+    pairs has a len and gives each class as (canonical code, canonical form
+    = ``triangulation_from_code`` of the code) in code order, so the output
     is independent of expansion order.  Only the children that
     ``successors`` screens in are built and coded, each once; the
-    automorphisms of the level being expanded come from those codings.  The
-    next level is expanded from the yielded one, so callers must not change
-    it.
+    automorphisms of the level being expanded come from those codings.
+    Nothing expands order n_max: it is a ``CodeLevel``, without automorphisms.
     """
     if not MIN_ORDER <= n_max <= MAX_ORDER:
         raise ValueError(f"order must be in {MIN_ORDER}..{MAX_ORDER}, got {n_max}")
     code, labels = _min_code(K4.rot)
-    groups = {bytes(code): _automorphisms(labels)}
-    level = level_from_codes(groups)
-    yield 4, level
-    for n in range(5, n_max + 1):
-        found: Dict[bytes, Tuple[List[int], ...]] = {}
+    found = {bytes(code): _automorphisms(labels)}
+    for n in range(MIN_ORDER, n_max):
+        level = {c: triangulation_from_code(c) for c in sorted(found)}
+        yield n, level.items()
+        groups = {c: auts for c, auts in found.items() if auts}
+        found = {}
         for code, parent in level.items():
             for child, ties in successors(parent, groups.get(code, ())):
                 coded = _accepted_code(child, ties)
                 if coded is not None and coded[0] not in found:
-                    found[coded[0]] = _automorphisms(coded[1])
-        level = level_from_codes(found)
-        groups = {code: auts for code, auts in found.items() if auts}
-        yield n, level
+                    found[coded[0]] = _automorphisms(coded[1]) if n + 1 < n_max else ()
+    top = CodeLevel(found)
+    level = groups = found = None  # while the caller reads the top, hold its codes alone
+    yield n_max, top
+
+
+class CodeLevel:
+    """A level kept as its sorted codes; iterating decodes each (code, canonical form)."""
+
+    def __init__(self, codes: Iterable[bytes]):
+        self.codes = sorted(codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[Tuple[bytes, Triangulation]]:
+        for code in self.codes:
+            yield code, triangulation_from_code(code)
 
 
 def _accepted_code(child: Triangulation, ties: List[int]
@@ -271,14 +278,8 @@ def _accepted_code(child: Triangulation, ties: List[int]
     return bytes(code), labels
 
 
-def level_from_codes(codes: Iterable[bytes]) -> Dict[bytes, Triangulation]:
-    """The level holding the classes with these canonical codes."""
-    return {c: triangulation_from_code(c) for c in sorted(codes)}
-
-
 def triangulations(n: int) -> List[Triangulation]:
     """All plane triangulations of order n, one canonical form per class."""
-    for order, level in levels(n):
-        if order == n:
-            return list(level.values())
-    raise AssertionError("unreachable")
+    for _, level in levels(n):
+        pass  # the last level yielded is order n
+    return [t for _, t in level]

@@ -78,14 +78,8 @@ class Triangulation:
         self.n = n
         self.rot = tuple(map(tuple, rot))
 
-    def degree(self, v: int) -> int:
-        return len(self.rot[v])
-
     def edge_count(self) -> int:
         return sum(len(r) for r in self.rot) // 2
-
-    def edges(self) -> List[Tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.rot[u] if u < v]
 
     def succ(self, v: int, u: int) -> int:
         """Neighbor immediately following u in the clockwise rotation at v."""

@@ -20,13 +20,13 @@ settings.load_profile("tridom")
 @pytest.fixture(scope="session")
 def levels_to_9():
     """Order -> list of canonical forms, in code order."""
-    return {n: list(level.values()) for n, level in levels(9)}
+    return {n: list(dict(pairs).values()) for n, pairs in levels(9)}
 
 
 @pytest.fixture(scope="session")
 def code_levels_to_11():
-    """Order -> level (canonical code -> canonical form), as generate.levels yields it."""
-    return dict(levels(11))
+    """Order -> level (canonical code -> canonical form), from generate.levels."""
+    return {n: dict(pairs) for n, pairs in levels(11)}
 
 
 @pytest.fixture(scope="session")
@@ -37,5 +37,6 @@ def levels_to_11(code_levels_to_11):
 @pytest.fixture(scope="session")
 def census_default(code_levels_to_11):
     """Rows and records for the default census range 5..11."""
-    rows, records = td.census_records(5, 11, levels=sorted(code_levels_to_11.items()))
+    rows, records = td.census_records(
+        5, 11, levels=[(n, level.items()) for n, level in sorted(code_levels_to_11.items())])
     return rows, records

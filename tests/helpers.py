@@ -26,8 +26,9 @@ The constructors at the top build the tests' inputs: checked graphs and
 small graph families, relabelled and mirrored embeddings, and
 triangulations from face lists (``from_face_list``, which builds the
 octahedron, the polygon cones, glued pairs and capped antiprisms).
-``rows_from_csv`` and ``same_counts`` read and compare census rows.  The
-package runs none of them.
+``degree`` and ``edges`` read a triangulation's rows, and ``rows_from_csv``
+and ``same_counts`` read and compare census rows.  The package runs none
+of them.
 """
 
 from __future__ import annotations
@@ -115,6 +116,15 @@ def check_graph(g: Graph) -> Graph:
             if not g.adj[u] >> v & 1:
                 raise ValueError(f"asymmetric edge ({v},{u})")
     return g
+
+
+def degree(t: Triangulation, v: int) -> int:
+    return len(t.rot[v])
+
+
+def edges(t: Triangulation) -> List[Tuple[int, int]]:
+    """Each edge (u, v) with u < v once, by u and then by v's place in u's rotation."""
+    return [(u, v) for u in range(t.n) for v in t.rot[u] if u < v]
 
 
 def relabel(t: Triangulation, perm: List[int]) -> Triangulation:
@@ -523,7 +533,7 @@ def all_sites(t: Triangulation) -> List[Tuple[Tuple[int, ...], Triangulation]]:
     apex of degree >= 5 (5, the apex, then the sorted pair of its two middle
     neighbours, whose edges to the apex the move removes)."""
     kids = [((3, *sorted(f)), reference_insert_deg3(t, f)) for f in faces(t)]
-    kids += [((4, a, b), reference_expand_deg4(t, (a, b))) for a, b in t.edges()
+    kids += [((4, a, b), reference_expand_deg4(t, (a, b))) for a, b in edges(t)
              if t.succ(b, a) != t.succ(a, b)]
     for a in range(t.n):
         ra = t.rot[a]
@@ -554,7 +564,7 @@ def reference_successors(t: Triangulation) -> Iterator[Triangulation]:
         yield reference_insert_deg3(t, f)
     deg3 = {v for v in range(t.n) if deg[v] == 3}
     if len(deg3) <= 2:
-        for a, b in t.edges():
+        for a, b in edges(t):
             c, d = t.succ(b, a), t.succ(a, b)
             if c != d and deg3 <= {c, d}:
                 yield reference_expand_deg4(t, (a, b))

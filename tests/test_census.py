@@ -3,10 +3,13 @@ import hashlib
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
+from tridom import census, generate, planar
 from tridom.census import (
+    CensusRecord,
     CensusRow,
     REFERENCE_CENSUS,
     census_records,
@@ -21,7 +24,7 @@ from tridom.census import (
 from tridom.domination import exact_gamma, exact_gamma_c
 from tridom.generate import levels, triangulations
 from tridom.graphs import bits, induces_connected, is_dominating
-from tridom.planar import planar_code_write
+from tridom.planar import planar_code_write, triangulation_from_code
 
 from helpers import (automorphisms, count_codings, mirror, reference_successors, relabel,
                      rows_from_csv, same_counts, screened_sites, site_image)
@@ -54,6 +57,59 @@ def test_census_certificates_are_pinned(census_default):
     lines = "".join(f"{r.n} {r.code.hex()} {r.gamma_c_witness} {r.method} {r.Delta}\n"
                     for r in records)
     assert hashlib.sha256(lines.encode()).hexdigest() == CERTIFICATES_5_11
+
+
+# sha256 of census_records(5, 12) in the benchmark's digest form: the rows as
+# (n, total, sorted counts), then each record as repr((n, code, rot, gamma_c,
+# gamma_c_witness, method, Delta)), in record order
+RECORDS_5_12 = "878e5891e5b42728313185916ceaf3552f1505d0645fc68cf8b435dd3a090739"
+
+
+def _records_digest(rows, records):
+    h = hashlib.sha256()
+    h.update(repr([(r.n, r.total, sorted(r.counts_by_gamma_c.items())) for r in rows]).encode())
+    for r in records:
+        h.update(repr((r.n, r.code, r.rot, r.gamma_c, r.gamma_c_witness, r.method,
+                       r.Delta)).encode())
+    return h.hexdigest()
+
+
+def test_census_to_12_is_pinned_and_decodes_each_class_once(monkeypatch):
+    """Rows and records of orders 5..12 are pinned byte for byte, and the run
+    decodes each class of orders 4..12 from its code once: the levels below
+    the top as they are built, the top order as it is classified."""
+    decoded = []
+
+    def counted(code, decode=planar.triangulation_from_code):
+        decoded.append(code)
+        return decode(code)
+
+    for module in (planar, generate, census):
+        monkeypatch.setattr(module, "triangulation_from_code", counted)
+    rows, records = census_records(5, 12)
+    assert len(decoded) == len(set(decoded)) == 9_150 == 1 + len(records)
+    assert _records_digest(rows, records) == RECORDS_5_12
+
+
+def test_census_to_12_traced_memory_peak():
+    """With the top order streamed and records kept by their codes, the
+    traced peak of census_records(5, 12) stays below 8 MiB; holding the top
+    order decoded and the rows in every record took 13.3 MiB."""
+    tracemalloc.start()
+    try:
+        census_records(5, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_records_decode_their_rows_on_each_access(census_default):
+    _, records = census_default
+    assert "rot" not in CensusRecord.__slots__
+    for rec in records[::40]:
+        assert rec.rot == triangulation_from_code(rec.code).rot
+        assert rec.rot is not rec.rot  # nothing is cached
 
 
 def test_compare_reference_clean_rows():
@@ -93,7 +149,7 @@ def test_census_deterministic_across_worker_counts():
         assert same_counts(a, b)
 
     def fields(records):
-        return [(r.n, r.code, r.gamma_c, r.gamma_c_witness, r.method, r.Delta)
+        return [(r.n, r.code, r.rot, r.gamma_c, r.gamma_c_witness, r.method, r.Delta)
                 for r in records]
 
     _, recs1 = census_records(5, 10, workers=1)
@@ -338,7 +394,7 @@ def test_ingest_codes_each_input_once(monkeypatch):
         rng.shuffle(perm)
         ts += [relabel(t, perm), mirror(relabel(t, perm[::-1]))]
     data = planar_code_write(ts)
-    native = [c for n, level in levels(8) if n >= 7 for c in level]
+    native = [c for n, level in levels(8) if n >= 7 for c, _ in level]
     calls = count_codings(monkeypatch)
     _, records = census_records(7, 8, levels=levels_from_planar_code(data))
     assert len(calls) == len(ts)

@@ -242,6 +242,17 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_census_checks_output_paths_before_the_census(capsys):
+    """An unwritable --json path is reported before anything is generated,
+    so no table is printed."""
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n-max", "6", "--json", "/nonexistent/x.json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "cannot write /nonexistent/x.json" in err
+    assert out == ""
+
+
 def test_census_ingests_planar_code(tmp_path, capsys):
     corpus = tmp_path / "t7.plc"
     corpus.write_bytes(planar_code_write(triangulations(7)))

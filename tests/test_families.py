@@ -311,7 +311,7 @@ def test_icosahedron_is_stored_data():
     assert verify_triangulation(ico).ok
     assert is_face(ico, (0, 1, 2))
     order12 = next(level for n, level in generate.levels(12) if n == 12)
-    regular = [code for code, t in order12.items() if all(len(r) == 5 for r in t.rot)]
+    regular = [code for code, t in order12 if all(len(r) == 5 for r in t.rot)]
     assert regular == [canonical_code(ico)]
     assert _digest([icosa_chain(k).rot for k in range(2, 13)]) == CHAIN_DIGEST_2_TO_12
 

@@ -25,9 +25,9 @@ from tridom.families import icosahedron
 
 from helpers import (all_children, all_moves_levels, assemble_triangulations,
                      automorphism_orbit, automorphisms, collapse_deg5, cone_triangulations,
-                     count_codings, mirror, octahedron, random_fan_parent, random_permutation,
-                     random_triangulation, reference_screen, reference_successors, relabel,
-                     screened_sites, site_image)
+                     count_codings, degree, edges, mirror, octahedron, random_fan_parent,
+                     random_permutation, random_triangulation, reference_screen,
+                     reference_successors, relabel, screened_sites, site_image)
 
 KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233}
 
@@ -84,16 +84,16 @@ def test_expand_deg3_on_k4_faces_all_isomorphic():
 def test_expand_deg3_basics():
     child = expand_deg3(K4, faces(K4)[0])
     assert child.n == 5
-    assert child.degree(4) == 3
+    assert degree(child, 4) == 3
     assert verify_triangulation(child).ok
 
 
 def test_expand_deg4_basics():
     oc = octahedron()
-    e = oc.edges()[0]
+    e = edges(oc)[0]
     child = expand_deg4(oc, e)
     assert child.n == 7
-    assert child.degree(6) == 4
+    assert degree(child, 6) == 4
     assert verify_triangulation(child).ok
     assert child.edge_count() == 3 * 7 - 6  # (3n-6) - 1 + 4
 
@@ -101,7 +101,7 @@ def test_expand_deg4_basics():
 def test_expand_deg4_reaches_a_6_vertex_triangulation():
     (t5,) = triangulations(5)
     codes6 = {canonical_code(t) for t in triangulations(6)}
-    produced = {canonical_code(expand_deg4(t5, e)) for e in t5.edges()}
+    produced = {canonical_code(expand_deg4(t5, e)) for e in edges(t5)}
     assert produced <= codes6
     assert produced  # at least one 6-vertex triangulation arises this way
 
@@ -114,7 +114,7 @@ def test_expand_deg5_on_icosahedron_everywhere():
             assert child.n == 13
             assert child.edge_count() == 3 * 13 - 6
             assert verify_triangulation(child).ok
-            assert child.degree(12) == 5
+            assert degree(child, 12) == 5
 
 
 def test_expand_collapse_deg5_round_trip():
@@ -132,7 +132,7 @@ def _every_move(t):
     """Every child of t by ``_insert_vertex``, in the order of ``all_sites``:
     face by face, edge by edge, then fan by fan."""
     kids = [expand_deg3(t, f) for f in faces(t)]
-    kids += [expand_deg4(t, e) for e in t.edges()]
+    kids += [expand_deg4(t, e) for e in edges(t)]
     kids += [expand_deg5(t, a, x1) for a in range(t.n) if len(t.rot[a]) >= 5
              for x1 in t.rot[a]]
     return kids
@@ -173,7 +173,7 @@ def test_rotations_are_stored_as_tuple_rows(levels_to_9):
     assert t.rot == K4.rot  # the stored rows are copies
     children = [c for t in levels_to_9[7] for c, _ in successors(t)]
     oc, ico = octahedron(), icosahedron()
-    children += [expand_deg3(K4, faces(K4)[0]), expand_deg4(oc, oc.edges()[0]),
+    children += [expand_deg3(K4, faces(K4)[0]), expand_deg4(oc, edges(oc)[0]),
                  expand_deg5(ico, 0, ico.rot[0][0])]
     children.append(collapse_deg5(children[-1], ico.n, 0))
     assert all(_has_tuple_rows(c) for c in children)
@@ -279,7 +279,7 @@ def test_filtered_levels_match_all_moves_levels():
     """Dropping children whose new vertex is not of minimum degree loses no class."""
     everything = all_moves_levels(10)
     for n, level in levels(10):
-        assert set(level) == everything[n], f"order {n}"
+        assert {c for c, _ in level} == everything[n], f"order {n}"
 
 
 def test_accepted_levels_match_coding_every_child():
@@ -288,7 +288,7 @@ def test_accepted_levels_match_coding_every_child():
     minimum-degree child, built by the tests' own route."""
     everything = all_moves_levels(11, reference_successors)
     for n, level in levels(11):
-        assert list(level) == sorted(everything[n]), f"order {n}"
+        assert [c for c, _ in level] == sorted(everything[n]), f"order {n}"
 
 
 # sha256 of the concatenated canonical codes of each level, in level order
@@ -310,7 +310,7 @@ def test_level_digests_and_codings_to_12(monkeypatch):
     automorphisms, of the 29,184 minimum-degree children (each coding is one
     _min_code call)."""
     calls = count_codings(monkeypatch)
-    digests = {n: hashlib.sha256(b"".join(level)).hexdigest()
+    digests = {n: hashlib.sha256(b"".join(c for c, _ in level)).hexdigest()
                for n, level in levels(12) if n >= 5}
     assert digests == LEVEL_DIGESTS
     assert len(calls) == 1 + 10_053

@@ -6,6 +6,9 @@ the package (outside its own definition), as an identifier or string
 constant in ``bench/*.py`` (so ``spans.LAYERS`` counts) or ``demos/*.py``,
 or as a word in ``README.md``.  Every file is parsed or read, never
 imported or executed, so the check writes nothing under bench/ or demos/.
+It matches names, not owners: a method passes when any use of its name is
+found, so a method that shares its name with a used one (as
+``Triangulation.degree`` shared ``Graph.degree``) needs a look by hand.
 """
 
 import ast

@@ -506,7 +506,7 @@ def test_exact_gamma_c_subset_answers_are_subset_gamma_cs(levels_to_11):
     icosahedron among them) and many denser random graphs."""
     graphs = [underlying_graph(t) for n in range(5, 11) for t in levels_to_11[n]]
     graphs += [underlying_graph(t) for n, level in levels(12) if n == 12
-               for t in level.values() if classify(t).value == 4]
+               for t in dict(level).values() if classify(t).value == 4]
     rng = random.Random(43)
     graphs += [random_connected_graph(rng, rng.randint(2, 14), rng.choice((0.15, 0.25, 0.5)))
                for _ in range(300)]
