@@ -11,11 +11,11 @@ checks and extremal queries can re-verify everything independently.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, TextIO, Tuple
 
 from . import generate
 from .domination import (
@@ -31,8 +31,6 @@ from .domination import (
 from .graphs import Graph, bits, vset
 from .planar import (Triangulation, canonical_code, planar_code_read, triangulation_from_code,
                      underlying_graph, verify_triangulation)
-
-GAMMA_C_COLUMNS = (1, 2, 3, 4, 5)
 
 #: Published counts, kept verbatim: order -> (total, {gamma_c: count}); None
 #: marks unknown cells.  The rows for orders 8 and 12 are known misprints:
@@ -61,6 +59,11 @@ class CensusRow:
 
     def count(self, value: int) -> int:
         return self.counts_by_gamma_c.get(value, 0)
+
+
+def gamma_c_columns(rows: Iterable[CensusRow]) -> range:
+    """1 up to the largest gamma_c any row counts, and at least the published 1..5."""
+    return range(1, max([5] + [v for r in rows for v, c in r.counts_by_gamma_c.items() if c]) + 1)
 
 
 class CensusRecord:
@@ -185,10 +188,11 @@ def census_records(n_min: int = 5, n_max: int = 11, workers: int = 1,
     Returns per-order rows plus one record per graph, in code order.  The
     levels, (order, pairs of code and canonical form), come from
     ``generate.levels`` unless an iterable of them, say from
-    ``levels_from_planar_code``, is supplied; workers get codes alone.  A
-    row's wall_time runs from the previous row (or the call's start), so it
-    covers producing the level, skipped lower orders included, and
-    classifying it; the rows sum to the call.
+    ``levels_from_planar_code``, is supplied.  With workers > 1, a level of
+    64 classes or more, which then needs a len, goes as codes to at most
+    os.cpu_count() processes.  A row's wall_time runs from the previous row
+    (or the call's start), so it covers producing the level, skipped lower
+    orders included, and classifying it; the rows sum to the call.
     """
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
@@ -199,15 +203,14 @@ def census_records(n_min: int = 5, n_max: int = 11, workers: int = 1,
     for n, pairs in source:
         if n < n_min or n > n_max:
             continue
-        if workers <= 1:
-            results = (_classified(code, t) for code, t in pairs)
-        else:
-            codes = [code for code, _ in pairs]
-            results = map(_classified, codes)
-            if len(codes) >= 64:
-                from multiprocessing import get_context  # only parallel runs pay for the import
-                with get_context().Pool(workers) as pool:
-                    results = pool.map(_classified, codes, max(1, len(codes) // (8 * workers)))
+        results = (_classified(code, t) for code, t in pairs)
+        if workers > 1 and len(pairs) >= 64:
+            # a CodeLevel gives its codes undecoded; a level below the top holds its forms
+            codes = pairs.codes if isinstance(pairs, generate.CodeLevel) else [c for c, _ in pairs]
+            processes = min(workers, os.cpu_count() or 1)
+            from multiprocessing import get_context  # only parallel runs pay for the import
+            with get_context().Pool(processes) as pool:
+                results = pool.map(_classified, codes, max(1, len(codes) // (8 * processes)))
         counts: Dict[int, int] = {}
         for code, value, witness, method, delta in results:
             counts[value] = counts.get(value, 0) + 1
@@ -255,14 +258,12 @@ def compare_reference(rows: Iterable[CensusRow]) -> ReferenceDiff:
         total, cells = ref
         if row.total != total:
             mismatches.append(f"n={row.n} total: got {row.total}, reference {total}")
-        for value in GAMMA_C_COLUMNS:
-            want = cells[value]
+        for value, want in cells.items():
             got = row.count(value)
             if want is None:
                 no_oracle.append(f"n={row.n} gamma_c={value}: no oracle")
             elif got != want:
-                mismatches.append(
-                    f"n={row.n} gamma_c={value}: got {got}, reference {want}")
+                mismatches.append(f"n={row.n} gamma_c={value}: got {got}, reference {want}")
     return ReferenceDiff(mismatches, no_oracle)
 
 
@@ -340,38 +341,28 @@ def verify_corpus(records: Iterable[CensusRecord], cross_solver_max_n: int = 10,
 def find_extremal(records: Iterable[CensusRecord],
                   predicate: Callable[[CensusRecord], bool]) -> List[CensusRecord]:
     """All records satisfying the predicate, sorted by (n, canonical code)."""
-    hits = [rec for rec in records if predicate(rec)]
-    hits.sort(key=lambda r: (r.n, r.code))
-    return hits
+    return sorted(filter(predicate, records), key=lambda r: (r.n, r.code))
 
 
 # ---------------------------------------------------------------------------
 # Persistence: CSV for rows, JSON for rows plus records.
 
-_CSV_FIELDS = ["n", "total", "gamma_c_1", "gamma_c_2", "gamma_c_3",
-               "gamma_c_4", "gamma_c_5", "wall_time_s"]
+def rows_to_csv(rows: Sequence[CensusRow], out: TextIO) -> None:
+    """Write the rows as CSV to out, with the columns of ``gamma_c_columns``."""
+    columns = gamma_c_columns(rows)
+    writer = csv.writer(out)
+    writer.writerow(["n", "total"] + [f"gamma_c_{v}" for v in columns] + ["wall_time_s"])
+    for r in rows:
+        writer.writerow([r.n, r.total] + [r.count(v) for v in columns] + [repr(r.wall_time)])
 
 
-def rows_to_csv(rows: Iterable[CensusRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_CSV_FIELDS)
-    for row in rows:
-        writer.writerow([row.n, row.total]
-                        + [row.count(v) for v in GAMMA_C_COLUMNS]
-                        + [repr(row.wall_time)])
-    return buf.getvalue()
-
-
-def results_to_json(rows: Iterable[CensusRow],
-                    records: Iterable[CensusRecord] = ()) -> str:
-    payload = {
-        "rows": [{"n": r.n, "total": r.total,
-                  "counts": {str(k): v for k, v in sorted(r.counts_by_gamma_c.items())},
-                  "wall_time": r.wall_time} for r in rows],
-        "records": [rec.to_dict() for rec in records],
-    }
-    return json.dumps(payload, indent=1)
+def results_to_json(rows: Iterable[CensusRow], records: Iterable[CensusRecord],
+                    out: TextIO) -> None:
+    """Write rows and records as JSON to out, as it is serialised."""
+    json.dump({"rows": [{"n": r.n, "total": r.total,
+                         "counts": {str(k): v for k, v in sorted(r.counts_by_gamma_c.items())},
+                         "wall_time": r.wall_time} for r in rows],
+               "records": [rec.to_dict() for rec in records]}, out, indent=1)
 
 
 def _load_error(kind: str, d, exc: Exception, *keys: str) -> ValueError:

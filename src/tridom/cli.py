@@ -10,20 +10,23 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import sys
+from contextlib import AbstractContextManager, nullcontext
 from types import CodeType
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 from . import census as census_mod
-from . import generate as generate_mod
 from .domination import exact_gamma, exact_gamma_c
 from .families import FamilySpec, expected_family_value
+from .generate import MAX_ORDER, MIN_ORDER, levels
 from .graphs import Graph, bits, graph6_read, graph6_write
 from .planar import (
+    PLANAR_CODE_HEADER,
     Triangulation,
     canonical_code,
     planar_code_iter,
-    planar_code_write,
+    planar_code_record,
     underlying_graph,
     verify_triangulation,
 )
@@ -43,45 +46,54 @@ def _read_bytes(path: Optional[str]) -> bytes:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _write_bytes(path: Optional[str], data: bytes) -> None:
-    if path is None or path == "-":
-        sys.stdout.buffer.write(data)
-        return
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+class _Output(AbstractContextManager):
+    """An output opened once, when made: stdout for None or "-", else the file
+    at path (UTF-8 text, no newline translation; bytes pass under the text
+    layer).  A failure to open, write or close it is a UsageError naming it."""
+
+    def __init__(self, path: Optional[str]):
+        self.path = "-" if path is None else path
+        self.stream = sys.stdout if self.path == "-" else self._do(
+            open, path, "w", encoding="utf-8", newline="")
+
+    def _do(self, fn: Callable, *args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OSError as exc:
+            raise UsageError(f"cannot write {self.path}: {exc.strerror}") from exc
+
+    def write(self, data: Union[bytes, str]) -> None:
+        try:  # not through _do: json.dump calls this once per token
+            (self.stream.buffer if isinstance(data, bytes) else self.stream).write(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write {self.path}: {exc.strerror}") from exc
+
+    def __exit__(self, *exc_info) -> None:
+        if self.path != "-":
+            self._do(self.stream.close)
 
 
-def _write_text(path: Optional[str], text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        _write_bytes(path, text.encode("utf-8"))
-
-
-def _emit_triangulations(pairs: List[Tuple[bytes, Triangulation]], fmt: str,
-                         out: Optional[str]) -> None:
-    """Write triangulations given as (canonical code, triangulation) pairs."""
+def _serialised(pairs: Iterable[Tuple[bytes, Triangulation]], fmt: str) -> Iterator:
+    """fmt's output for (canonical code, triangulation) pairs, a piece at a time."""
     if fmt == "planar_code":
-        _write_bytes(out, planar_code_write(t for _, t in pairs))
+        yield PLANAR_CODE_HEADER
+        yield from (planar_code_record(t) for _, t in pairs)
     elif fmt == "graph6":
-        _write_text(out, "".join(graph6_write(underlying_graph(t)) + "\n" for _, t in pairs))
+        yield from (graph6_write(underlying_graph(t)) + "\n" for _, t in pairs)
     else:  # json: rotation systems plus codes
-        payload = [{"n": t.n, "rotations": [list(r) for r in t.rot], "code": code.hex()}
-                   for code, t in pairs]
-        _write_text(out, json.dumps(payload, indent=1) + "\n")
+        yield from json.JSONEncoder(indent=1).iterencode(
+            [{"n": t.n, "rotations": t.rot, "code": code.hex()} for code, t in pairs])
+        yield "\n"
 
 
 def _cmd_generate(args) -> int:
-    if not generate_mod.MIN_ORDER <= args.n <= generate_mod.MAX_ORDER:
-        raise UsageError(f"--n must be in {generate_mod.MIN_ORDER}..{generate_mod.MAX_ORDER},"
-                         f" got {args.n}")
-    for _, level in generate_mod.levels(args.n):
+    if not MIN_ORDER <= args.n <= MAX_ORDER:
+        raise UsageError(f"--n must be in {MIN_ORDER}..{MAX_ORDER}, got {args.n}")
+    for _, level in levels(args.n):
         pass  # the last level yielded is order n
-    level = list(level)
-    _emit_triangulations(level, args.format, args.out)
+    with _Output(args.out) as out:
+        for chunk in _serialised(level, args.format):
+            out.write(chunk)
     if args.out not in (None, "-"):
         print(f"wrote {len(level)} triangulations of order {args.n} to {args.out}")
     return 0
@@ -153,45 +165,48 @@ def _cmd_solve(args) -> int:
 def _check_range(args, generating: bool = True) -> None:
     if args.n_min > args.n_max:
         raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
-    if generating and not generate_mod.MIN_ORDER <= args.n_max <= generate_mod.MAX_ORDER:
-        raise UsageError(f"--n-max must be in {generate_mod.MIN_ORDER}..{generate_mod.MAX_ORDER}"
-                         f" to generate, got {args.n_max}")
+    if generating and not MIN_ORDER <= args.n_max <= MAX_ORDER:
+        raise UsageError(f"--n-max must be in {MIN_ORDER}..{MAX_ORDER} to generate,"
+                         f" got {args.n_max}")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
 
 
 def _cmd_census(args) -> int:
-    levels = None
+    ingested = None
     _check_range(args, generating=not args.input)
-    for path in (args.csv, args.json):
-        _write_bytes(path, b"")  # an unwritable path fails now, not after the census
+    if args.csv and args.json and os.path.realpath(args.csv) == os.path.realpath(args.json):
+        raise UsageError(f"--csv and --json both name {args.csv}")
     if args.input:
         try:
-            levels = census_mod.levels_from_planar_code(_read_bytes(args.input))
+            ingested = census_mod.levels_from_planar_code(_read_bytes(args.input))
         except ValueError as exc:
             raise UsageError(f"{args.input}: {exc}") from exc
-        outside = [n for n, _ in levels if not args.n_min <= n <= args.n_max]
+        outside = [n for n, _ in ingested if not args.n_min <= n <= args.n_max]
         if outside:
             raise UsageError(f"{args.input} holds orders {outside} outside --n-min..--n-max"
                              f" ({args.n_min}..{args.n_max})")
-    rows, records = census_mod.census_records(args.n_min, args.n_max, args.workers, levels=levels)
-    print(f"{'n':>4} {'total':>9} " + " ".join(f"gc={v:<5}" for v in census_mod.GAMMA_C_COLUMNS)
-          + "  seconds")
-    for row in rows:
-        cells = " ".join(f"{row.count(v):>8}" for v in census_mod.GAMMA_C_COLUMNS)
-        print(f"{row.n:>4} {row.total:>9} {cells}  {row.wall_time:.2f}")
-    if args.csv:
-        _write_text(args.csv, census_mod.rows_to_csv(rows))
-    if args.json:
-        _write_text(args.json, census_mod.results_to_json(rows, records))
-    status = 0
-    if args.compare:
-        diff = census_mod.compare_reference(rows)
-        for line in diff.mismatches:
-            print(f"MISMATCH {line}")
-        for line in diff.no_oracle:
-            print(f"UNCHECKED {line}")
-        print("reference check: " + ("ok" if diff.ok else f"{len(diff.mismatches)} mismatches"))
-        status = 0 if diff.ok else 1
-    return status
+    with (_Output(args.csv) if args.csv else nullcontext() as csv_out,  # before the census
+          _Output(args.json) if args.json else nullcontext() as json_out):
+        rows, records = census_mod.census_records(args.n_min, args.n_max, args.workers, ingested)
+        columns = census_mod.gamma_c_columns(rows)
+        print(f"{'n':>4} {'total':>9} " + " ".join(f"gc={v:<5}" for v in columns) + "  seconds")
+        for row in rows:
+            cells = " ".join(f"{row.count(v):>8}" for v in columns)
+            print(f"{row.n:>4} {row.total:>9} {cells}  {row.wall_time:.2f}")
+        if csv_out:
+            census_mod.rows_to_csv(rows, csv_out)
+        if json_out:
+            census_mod.results_to_json(rows, records, json_out)
+    if not args.compare:
+        return 0
+    diff = census_mod.compare_reference(rows)
+    for line in diff.mismatches:
+        print(f"MISMATCH {line}")
+    for line in diff.no_oracle:
+        print(f"UNCHECKED {line}")
+    print("reference check: " + ("ok" if diff.ok else f"{len(diff.mismatches)} mismatches"))
+    return 0 if diff.ok else 1
 
 
 def _cmd_family(args) -> int:
@@ -204,9 +219,12 @@ def _cmd_family(args) -> int:
         try:
             # only json prints the canonical code, and codes stop below order 256
             code = canonical_code(t) if args.format == "json" else b""
-            _emit_triangulations([(code, t)], args.format, args.out)
+            chunks = list(_serialised([(code, t)], args.format))  # so a failure leaves no file
         except ValueError as exc:
             raise UsageError(f"--format {args.format}: {exc}") from exc
+        with _Output(args.out) as out:
+            for chunk in chunks:
+                out.write(chunk)
     if args.values:
         g = underlying_graph(t)
         info = {"kind": spec.kind, "k": spec.k, "n": t.n,

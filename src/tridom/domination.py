@@ -299,12 +299,6 @@ def _minimum_cds(g: Graph, collect_all: bool, tables: tuple, k_min: int = 1) -> 
     raise AssertionError("connected graph always has a connected dominating set")
 
 
-def _search_cds(g: Graph, tables: tuple) -> int:
-    """The search's first hit once ``_small_cds`` found none: gamma_c >= 4, so
-    it deepens from max(4, its lower bound)."""
-    return _minimum_cds(g, False, tables, k_min=4)[0]
-
-
 def _dominators(cand: int, missed: int, adjn: List[int]) -> int:
     """The vertices of cand whose closed neighborhood holds every vertex of missed."""
     while missed and cand:
@@ -352,7 +346,7 @@ def subset_gamma_c(g: Graph) -> DominationCertificate:
     the search deepened from max(4, its lower bound).
     """
     _require_cds_input(g)
-    s = _small_cds(g) or _search_cds(g, _cds_tables(g))
+    s = _small_cds(g) or _minimum_cds(g, False, _cds_tables(g), k_min=4)[0]
     return DominationCertificate(s.bit_count(), s, METHOD_SUBSET)
 
 
@@ -497,7 +491,7 @@ def exact_gamma_c(g: Graph) -> DominationCertificate:
         width, order = _dp_order(g, cap)
         if width < cap:
             return _frontier_dp(g, order)
-        s = _search_cds(g, tables)
+        s = _minimum_cds(g, False, tables, k_min=4)[0]
     return _checked(g, DominationCertificate(s.bit_count(), s, METHOD_SUBSET))
 
 

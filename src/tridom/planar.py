@@ -55,7 +55,7 @@ generation uses them to decide a child whose new vertex ties with others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, is_connected
 
@@ -100,9 +100,6 @@ class Triangulation:
 class ValidityReport:
     ok: bool
     problem: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _adjacency(rot) -> List[int]:
@@ -320,17 +317,16 @@ def canonical_form(t: Triangulation) -> Triangulation:
 # per vertex its neighbors in rotation order, 1-based, each list terminated
 # by a zero byte.
 
-def planar_code_write(ts: Iterable[Triangulation]) -> bytes:
-    out = bytearray(PLANAR_CODE_HEADER)
-    for t in ts:
-        if t.n >= 128:
-            raise ValueError(f"planar_code supports orders below 128, got {t.n}")
-        if t.n < 1:
-            raise ValueError("planar_code needs at least one vertex")
-        out.append(t.n)
-        for r in t.rot:
-            out += bytes(u + 1 for u in r)
-            out.append(0)
+def planar_code_record(t: Triangulation) -> bytes:
+    """t's planar_code record, which follows the stream's one header."""
+    if t.n >= 128:
+        raise ValueError(f"planar_code supports orders below 128, got {t.n}")
+    if t.n < 1:
+        raise ValueError("planar_code needs at least one vertex")
+    out = bytearray([t.n])
+    for r in t.rot:
+        out += bytes(u + 1 for u in r)
+        out.append(0)
     return bytes(out)
 
 

@@ -36,7 +36,6 @@ from tridom.graphs import (
 from tridom.planar import (
     canonical_code,
     planar_code_read,
-    planar_code_write,
     underlying_graph,
 )
 
@@ -48,6 +47,7 @@ from helpers import (
     cycle_graph,
     mirror,
     path_graph,
+    planar_code_write,
     powerset_connected_sets,
     random_connected_graph,
     random_permutation,

@@ -1,4 +1,7 @@
+import errno
 import json
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -7,11 +10,11 @@ from hypothesis import given, strategies as st
 from tridom import cli, domination
 from tridom.cli import main
 from tridom.graphs import graph6_read, graph6_write
-from tridom.planar import Triangulation, planar_code_read, planar_code_write, underlying_graph
+from tridom.planar import Triangulation, planar_code_read, underlying_graph
 from tridom.families import family, icosahedron
 from tridom.generate import triangulations
 
-from helpers import complete_graph, octahedron, relabel, rows_from_csv
+from helpers import complete_graph, octahedron, planar_code_write, relabel, rows_from_csv
 
 
 def test_generate_planar_code(tmp_path, capsys):
@@ -253,6 +256,67 @@ def test_census_checks_output_paths_before_the_census(capsys):
     assert out == ""
 
 
+def test_census_reads_its_input_before_it_opens_its_outputs(tmp_path, capsys):
+    """--input X --csv X classifies X's classes, then writes their row over X."""
+    corpus = tmp_path / "t7.plc"
+    corpus.write_bytes(planar_code_write(triangulations(7)))
+    assert main(["census", "--n-min", "7", "--n-max", "7",
+                 "--input", str(corpus), "--csv", str(corpus)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[:7] == ["7", "5", "3", "2", "0", "0", "0"]
+    (back,) = rows_from_csv(corpus.read_text())
+    assert (back.n, back.total, back.counts_by_gamma_c) == (7, 5, {1: 3, 2: 2})
+
+
+@pytest.mark.parametrize("same", ["f", os.path.join("..", "out", ".", "f")])
+def test_census_csv_and_json_must_name_different_files(tmp_path, capsys, same):
+    """One file named by --csv and --json, directly or by another path, is a
+    usage error before anything is opened or generated."""
+    (tmp_path / "out").mkdir()
+    path = str(tmp_path / "out" / "f")
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n-max", "6", "--csv", path,
+              "--json", os.path.join(str(tmp_path / "out"), same)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "--csv and --json both name" in err and out == ""
+    assert not os.path.exists(path)
+
+
+def test_census_reports_other_os_errors_as_they_are(tmp_path, capsys, monkeypatch):
+    """An OSError that is not a failure to write an output, here a pool that
+    cannot start, propagates as itself and is not reported as 'cannot write'."""
+    class NoPool:
+        def Pool(self, processes):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda: NoPool())
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(OSError) as exc:
+        main(["census", "--n-max", "10", "--workers", "2", "--json", str(tmp_path / "r.json")])
+    assert exc.value.errno == errno.EAGAIN
+    assert "cannot write" not in capsys.readouterr().err
+
+
+def test_census_table_and_csv_show_every_gamma_c(tmp_path, capsys):
+    """Member 6 of family A has gamma_c = 6: the table and the CSV grow a
+    sixth column for it instead of dropping its count."""
+    member = tmp_path / "a6.plc"
+    assert main(["family", "--which", "A", "--k", "6", "--out", str(member)]) == 0
+    capsys.readouterr()
+    assert main(["census", "--input", str(member), "--n-min", "18", "--n-max", "18",
+                 "--csv", "-"]) == 0
+    header, row, csv_header, csv_row = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "total", "gc=1", "gc=2", "gc=3", "gc=4", "gc=5", "gc=6",
+                              "seconds"]
+    assert row.split()[:8] == ["18", "1", "0", "0", "0", "0", "0", "1"]
+    assert csv_header == ("n,total,gamma_c_1,gamma_c_2,gamma_c_3,gamma_c_4,gamma_c_5,"
+                          "gamma_c_6,wall_time_s")
+    assert csv_row.startswith("18,1,0,0,0,0,0,1,")
+    (back,) = rows_from_csv(f"{csv_header}\n{csv_row}\n")
+    assert back.counts_by_gamma_c == {6: 1}
+
+
 def test_census_ingests_planar_code(tmp_path, capsys):
     corpus = tmp_path / "t7.plc"
     corpus.write_bytes(planar_code_write(triangulations(7)))
@@ -297,6 +361,9 @@ def test_census_input_not_a_triangulation_is_an_error(tmp_path, capsys):
     (["family", "--which", "chain", "--k", "1"], "chains need k >= 2"),
     (["generate", "--n", "3"], "--n must be in 4..14, got 3"),
     (["generate", "--n", "15"], "--n must be in 4..14, got 15"),
+    (["census", "--n-max", "5", "--workers", "0"], "--workers must be at least 1, got 0"),
+    (["verify", "--n-max", "5", "--workers", "-2"], "--workers must be at least 1, got -2"),
+    (["extremal", "--n-max", "5", "--workers", "0", "--where", "n > 0"], "--workers must be"),
 ])
 def test_bad_arguments_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -323,6 +390,19 @@ def test_family_json_past_order_255_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "canonical codes support orders below 256, got 262" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt, message", [
+    ("planar_code", "planar_code supports orders below 128, got 132"),
+    ("graph6", "order 132 exceeds 128"),
+])
+def test_family_member_too_large_for_its_format_leaves_no_file(tmp_path, capsys, fmt, message):
+    out = tmp_path / "chain13"
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--which", "chain", "--k", "13", "--format", fmt, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -17,7 +17,6 @@ from tridom.planar import (
     is_face,
     planar_code_iter,
     planar_code_read,
-    planar_code_write,
     triangulation_from_code,
     underlying_graph,
     verify_triangulation,
@@ -25,7 +24,7 @@ from tridom.planar import (
 from tridom.families import icosahedron
 
 from helpers import (capped_antiprism, complete_graph, from_face_list, glued_on_a_face,
-                     is_chord_root_edge, mirror, octahedron, random_permutation,
+                     is_chord_root_edge, mirror, octahedron, planar_code_write, random_permutation,
                      random_triangulation, reference_faces, reference_min_code,
                      reference_triangulation_from_code, reference_verify_triangulation, relabel,
                      root_edges_of_least_code)

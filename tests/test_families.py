@@ -28,13 +28,12 @@ from tridom.planar import (
     canonical_code,
     faces,
     is_face,
-    planar_code_write,
     underlying_graph,
     verify_triangulation,
 )
 
 from helpers import (check_graph, from_face_list, graph_from_edges, icosahedron_faces, octahedron,
-                     reference_octahedron_sum, relabel)
+                     planar_code_write, reference_octahedron_sum, relabel)
 
 # The sum reports live in the extremal demo, which is loaded by path.
 _DEMO = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
