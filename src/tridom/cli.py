@@ -51,10 +51,14 @@ class _Output(AbstractContextManager):
     at path (UTF-8 text, no newline translation; bytes pass under the text
     layer).  A failure to open, write or close it is a UsageError naming it."""
 
-    def __init__(self, path: Optional[str]):
+    def __init__(self, path: Optional[str], mode: str = "w"):
         self.path = "-" if path is None else path
         self.stream = sys.stdout if self.path == "-" else self._do(
-            open, path, "w", encoding="utf-8", newline="")
+            open, path, mode, encoding="utf-8", newline="")
+
+    def empty(self) -> None:  # the truncation that mode "a" skips; not for a device or pipe
+        if self.path != "-" and os.path.isfile(self.path):
+            self._do(self.stream.truncate, 0)
 
     def _do(self, fn: Callable, *args, **kwargs):
         try:
@@ -186,8 +190,10 @@ def _cmd_census(args) -> int:
         if outside:
             raise UsageError(f"{args.input} holds orders {outside} outside --n-min..--n-max"
                              f" ({args.n_min}..{args.n_max})")
-    with (_Output(args.csv) if args.csv else nullcontext() as csv_out,  # before the census
-          _Output(args.json) if args.json else nullcontext() as json_out):
+    with (_Output(args.csv, "a") if args.csv else nullcontext() as csv_out,  # before the census
+          _Output(args.json, "a") if args.json else nullcontext() as json_out):
+        for out in filter(None, (csv_out, json_out)):
+            out.empty()  # only once both are open, so a path that fails empties neither
         rows, records = census_mod.census_records(args.n_min, args.n_max, args.workers, ingested)
         columns = census_mod.gamma_c_columns(rows)
         print(f"{'n':>4} {'total':>9} " + " ".join(f"gc={v:<5}" for v in columns) + "  seconds")

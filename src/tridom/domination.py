@@ -19,21 +19,15 @@ Three routes to the connected domination number are provided:
   no search code with the other two routes, and is several times slower.
 
 ``exact_gamma_c`` answers any graph, and ``tridom solve`` uses it for every
-input format.  It runs the subset search's scans of sizes 1 to 3 (below)
-first; only when they fail does it build the search tables and pick one of
-the first two routes.  With k0 the subset search's first size and w the
-width of ``_dp_order``'s order, it runs the DP on that order iff 3**w <
-comb(n, k0): the DP's unlabelled state space against the candidate sets of
-the search's first level.  The order is searched only below that width, so
-a graph headed for the search pays a few greedy steps at most.  Otherwise it
-deepens the subset search on the same tables, so its subset-search answers
-are ``subset_gamma_c``'s.  ``classify`` does not route.  On census classes
-only gamma_c >= 4 gets past the scans (5 classes at order 12, 153 at order
-13), and on those subset search is the faster route: 0.12 ms against
-0.9 ms per class at order 13 (medians of best-of-5 in-process times,
-Python 3.11).  ``exact_gamma_c`` would send 53 of the 153 to the DP, and 22
-of them would get another witness, so routing would change census
-certificates.
+input format: the scans of sizes 1 to 3 (below), then, on the search
+tables, the DP or the subset search by the rule in its docstring, so its
+subset-search answers are ``subset_gamma_c``'s.  ``classify`` does not
+route.  On census classes only gamma_c >= 4 gets past the scans (5 classes
+at order 12, 153 at order 13), and on those subset search is the faster
+route: a median of 0.17 ms against 1.0 ms per class by the DP with its order
+search (best-of-5 in-process times, Python 3.11).  ``exact_gamma_c`` would
+send 53 of the 153 to the DP, and 22 of them would get another witness, so
+routing would change census certificates.
 
 The order: vertex separation equals pathwidth (Kinnersley, Inf. Process.
 Lett. 1992), so a thin graph has a narrow order whatever its labels.
@@ -49,10 +43,12 @@ processed vertices that still have an unprocessed neighbour, so every
 processed neighbour of the next vertex v is on it.  A state gives each
 frontier vertex 0 (undominated), 1 (dominated) or the label of its
 component of S restricted to the processed vertices, labels numbered by
-first appearance, so equal partial solutions share a state.  Taking v
-into S marks its undominated frontier neighbours dominated and merges the
-components of its S neighbours with v; leaving v out marks v dominated iff
-it has an S neighbour.  Forget rule: a vertex that leaves the frontier (its
+first appearance, so equal partial solutions share a state.  A state is a
+tuple of ints, so the frontier may be of any width.  Taking v into S marks
+its undominated frontier neighbours dominated and merges the components of
+its S neighbours with v, all marked n + 2 (above every label, at most
+n + 1) until the step relabels; leaving v out marks v dominated iff it has
+an S neighbour.  Forget rule: a vertex that leaves the frontier (its
 last neighbour is processed) must be dominated, since nothing later can
 dominate it; and a component of S may leave only if another frontier
 vertex still carries its label, since a component with no unprocessed
@@ -116,7 +112,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (
     PRUNE,
@@ -136,7 +133,6 @@ from .planar import Triangulation, underlying_graph
 METHOD_SUBSET = "subset-search"
 METHOD_FRONTIER = "frontier-dp"
 
-FRONTIER_MAX = 253  # a byte holds the labels 2..w+1 of a width-w frontier and the mark 255
 METHOD_CONTRACTION = "contraction"
 METHOD_BFS_TREE = "bfs-tree-bound"
 METHOD_DELTA = "delta-shortcut"
@@ -151,10 +147,8 @@ class DominationCertificate:
 
 def _require_connected(g: Graph) -> None:
     if not is_connected(g):
-        raise ValueError(
-            "graph is disconnected; graphs with more than one component "
-            "have no connected dominating set"
-        )
+        raise ValueError("graph is disconnected; graphs with more than one component"
+                         " have no connected dominating set")
 
 
 def _closed(g: Graph) -> List[int]:
@@ -338,13 +332,9 @@ def _small_cds(g: Graph) -> int:
 
 
 def subset_gamma_c(g: Graph) -> DominationCertificate:
-    """Minimum connected dominating set by deepening subset search.
-
-    Sizes 1, 2 and 3 are scanned over the adjacency masks in the order the
-    search visits them, so each scan returns the search's first hit (module
-    docstring).  Only when all three fail are the search tables built and
-    the search deepened from max(4, its lower bound).
-    """
+    """Minimum connected dominating set by deepening subset search: the scans
+    of sizes 1 to 3, each giving the search's first hit, then the tables and
+    the search from max(4, its lower bound) (module docstring)."""
     _require_cds_input(g)
     s = _small_cds(g) or _minimum_cds(g, False, _cds_tables(g), k_min=4)[0]
     return DominationCertificate(s.bit_count(), s, METHOD_SUBSET)
@@ -395,59 +385,71 @@ def _dp_order(g: Graph, cap: int) -> Tuple[int, List[int]]:
     return best
 
 
+def _projection(idx: List[int]) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """s -> tuple(s[i] for i in idx): an itemgetter, wrapped for fewer than two indices."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return (lambda s, i=idx[0]: (s[i],)) if idx else (lambda s: ())
+
+
 def _frontier_dp(g: Graph, order: List[int]) -> DominationCertificate:
     """The DP on g relabelled by order; its witness, least in that order, mapped back and checked.
 
-    A state is one byte per frontier vertex: 0 undominated, 1 dominated, or
-    a component label >= 2 for a vertex in S, numbered by first appearance.
-    It keeps the least (|S|, S), packed as |S| << n | S.
+    A state holds one int per frontier vertex: 0 undominated, 1 dominated,
+    or a component label >= 2 for a vertex in S, numbered by first
+    appearance.  It keeps the least (|S|, S), packed as |S| << n | S.  Steps
+    read states through itemgetters and share a memo of relabelled kept
+    parts, dropped when it holds more than a step adds (two per state).
     """
     n = g.n
     pos = {v: i for i, v in enumerate(order)}
     adj = [vset(pos[u] for u in bits(g.adj[v])) for v in order]
     # leave[u]: the step after which u has no unprocessed neighbour
     leave = [max(u, m.bit_length() - 1) for u, m in enumerate(adj)]
-    merged = 255  # the label of v's component before normalising
+    merged = n + 2  # the label of v's component until the step relabels
     one = 1 << n
     frontier: List[int] = []
-    layer = {b"": 0}
+    layer: Dict[Tuple[int, ...], int] = {(): 0}
+    relabelled: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for v in range(n):
         near = [i for i, u in enumerate(frontier) if adj[v] >> u & 1]
         frontier.append(v)
         keep = [i for i, u in enumerate(frontier) if leave[u] > v]
-        gone = [i for i, u in enumerate(frontier) if leave[u] <= v]
+        near_of, keep_of, gone_of = map(_projection, (
+            near, keep, [i for i, u in enumerate(frontier) if leave[u] <= v]))
         last = v == n - 1
         add = one | 1 << v
-        nxt: Dict[bytes, int] = {}
+        relabelled = relabelled if len(relabelled) <= 2 * len(layer) else {}
+        nxt: Dict[Tuple[int, ...], int] = {}
         for st, val in layer.items():
-            s = list(st)
-            joined = set()
+            joined = {x for x in near_of(st) if x > 1}
+            s = [merged if x in joined else x for x in st] if joined else list(st)
             for i in near:
-                if s[i] > 1:
-                    joined.add(s[i])
-                else:
+                if s[i] < 2:
                     s[i] = 1
-            if joined:
-                s = [merged if x in joined else x for x in s]
             s.append(merged)
-            for full, cost in ((st + (b"\1" if joined else b"\0"), val), (s, val + add)):
-                if last:
-                    if 0 in full or len(set(full) - {1}) != 1:
-                        continue  # a vertex ends undominated, or S is not one component
-                    key = b""
+            for full, cost in ((st + (1,) if joined else st + (0,), val), (s, val + add)):
+                if last:  # S must end as one component, with every vertex dominated
+                    key = () if 0 not in full and len(set(full) - {1}) == 1 else None
                 else:
-                    rest = [full[i] for i in keep]
-                    if any(full[i] == 0 or full[i] > 1 and full[i] not in rest for i in gone):
-                        continue  # a vertex left undominated, or a component left before the end
-                    labels: Dict[int, int] = {}
-                    key = bytes([x if x < 2 else labels.setdefault(x, len(labels) + 2)
-                                 for x in rest])
-                old = nxt.get(key)
-                if old is None or cost < old:
-                    nxt[key] = cost
+                    rest = keep_of(full)
+                    for x in gone_of(full):
+                        if x == 0 or x > 1 and x not in rest:
+                            key = None  # a vertex left undominated, or a component left early
+                            break
+                    else:
+                        key = relabelled.get(rest)
+                        if key is None:
+                            labels: Dict[int, int] = {}
+                            key = relabelled[rest] = tuple([
+                                x if x < 2 else labels.setdefault(x, len(labels) + 2) for x in rest])
+                if key is not None:
+                    old = nxt.get(key)
+                    if old is None or cost < old:
+                        nxt[key] = cost
         frontier = [frontier[i] for i in keep]
         layer = nxt
-    value, witness = layer[b""] >> n, vset(order[i] for i in bits(layer[b""] & (one - 1)))
+    value, witness = layer[()] >> n, vset(order[i] for i in bits(layer[()] & (one - 1)))
     return _checked(g, DominationCertificate(value, witness, METHOD_FRONTIER))
 
 
@@ -486,8 +488,8 @@ def exact_gamma_c(g: Graph) -> DominationCertificate:
     if not s:
         tables = _cds_tables(g)
         cap, first = 0, comb(g.n, tables[-1])
-        while 3 ** cap < first and cap <= FRONTIER_MAX:
-            cap += 1  # the least w with 3**w >= comb(n, k0), or FRONTIER_MAX + 1
+        while 3 ** cap < first:
+            cap += 1  # the least w with 3**w >= comb(n, k0)
         width, order = _dp_order(g, cap)
         if width < cap:
             return _frontier_dp(g, order)
@@ -509,15 +511,9 @@ def bfs_tree_cds(g: Graph) -> DominationCertificate:
     """
     _require_cds_input(g)
     _, _, root = degree_stats(g)
-    adj = g.adj
-    seen = 1 << root
-    queue = [root]
-    internal = 0
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        children = adj[x] & ~seen
+    seen, queue, internal = 1 << root, [root], 0
+    for x in queue:  # the loop reads what it appends
+        children = g.adj[x] & ~seen
         if children:
             internal |= 1 << x
             seen |= children
@@ -534,8 +530,7 @@ def contract_edge(g: Graph, e: Tuple[int, int]) -> Graph:
     if u == v or not (0 <= u < g.n and 0 <= v < g.n) or not g.adj[u] >> v & 1:
         raise ValueError(f"{e} is not an edge")
     keep, drop = (u, v) if u < v else (v, u)
-    kb = 1 << keep
-    db = 1 << drop
+    kb, db = 1 << keep, 1 << drop
     low = db - 1
     merged = (g.adj[keep] | g.adj[drop]) & ~(kb | db)
     adj = []
@@ -605,8 +600,7 @@ def contraction_search(g: Graph, k: int) -> Optional[Tuple[Tuple[int, int], ...]
             ei = b.bit_length() - 1
             x, y = edge_list[ei]
             xin = span >> x & 1
-            yin = span >> y & 1
-            if not (xin and yin):  # skip cycle-closing edges
+            if not (xin and span >> y & 1):  # skip cycle-closing edges
                 w = y if xin else x
                 chosen.append(ei)
                 grow(chosen, span | (1 << w), nbrs | incident[w], forb)

@@ -256,6 +256,20 @@ def test_census_checks_output_paths_before_the_census(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("bad, good", [("--json", "--csv"), ("--csv", "--json")])
+def test_census_output_that_fails_leaves_the_other_as_it_was(tmp_path, capsys, bad, good):
+    """When one output cannot be opened, the census exits 2 before any table
+    line, and an existing file named by the other keeps its bytes."""
+    kept = tmp_path / "old"
+    kept.write_text("old content")
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n-max", "6", good, str(kept), bad, "/nonexistent/x"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert "cannot write /nonexistent/x" in err and out == ""
+    assert kept.read_text() == "old content"
+
+
 def test_census_reads_its_input_before_it_opens_its_outputs(tmp_path, capsys):
     """--input X --csv X classifies X's classes, then writes their row over X."""
     corpus = tmp_path / "t7.plc"

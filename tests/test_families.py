@@ -375,7 +375,7 @@ def test_icosa_chain_4_values():
     and the frontier DP both give gamma_c = 11 with verified witnesses."""
     g = underlying_graph(icosa_chain(4))
     assert exact_gamma(g).value == 5
-    dp = domination._frontier_dp(g, domination._dp_order(g, domination.FRONTIER_MAX + 1)[1])
+    dp = domination._frontier_dp(g, domination._dp_order(g, g.n + 1)[1])
     for cert in (subset_gamma_c(g), dp):
         assert cert.value == 11
         assert cert.witness.bit_count() == 11

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 from math import comb
@@ -547,7 +548,7 @@ def test_frontier_dp_agrees_with_subset_search(levels_to_11):
                for _ in range(200)]
     graphs += [underlying_graph(icosa_chain(k)) for k in (2, 3)]
     for g in graphs:
-        cert = domination._frontier_dp(g, domination._dp_order(g, domination.FRONTIER_MAX + 1)[1])
+        cert = domination._frontier_dp(g, domination._dp_order(g, g.n + 1)[1])
         assert cert.method == METHOD_FRONTIER
         assert cert.value == subset_gamma_c(g).value
         assert cert.witness.bit_count() == cert.value
@@ -593,7 +594,7 @@ def test_exact_gamma_c_routes_by_frontier_width():
                        "A30 relabelled": METHOD_FRONTIER,
                        "K6": METHOD_SUBSET, "icosahedron": METHOD_SUBSET}
     for name, g in routed.items():
-        width = domination._dp_order(g, domination.FRONTIER_MAX + 1)[0]
+        width = domination._dp_order(g, g.n + 1)[0]
         if name != "K6":
             assert (3 ** width < comb(g.n, domination._cds_tables(g)[-1])) \
                 == (methods[name] == METHOD_FRONTIER), name
@@ -613,7 +614,7 @@ def test_dp_order_is_a_permutation_of_its_width(levels_to_11):
         graphs += [underlying_graph(t), underlying_graph(relabel(t, random_permutation(rng, t.n)))]
     narrower = 0
     for g in graphs:
-        width, order = domination._dp_order(g, domination.FRONTIER_MAX + 1)
+        width, order = domination._dp_order(g, g.n + 1)
         assert sorted(order) == list(range(g.n))
         assert width == order_width(g, order)
         label = order_width(g, range(g.n))
@@ -634,8 +635,31 @@ def test_relabelled_members_reach_the_frontier_dp(which, k):
     want, most = ((5 * k + 1) // 2 + 1, 10) if which == "chain" else (k, 5)
     for seed in (1, 2):
         g = underlying_graph(relabel(t, random_permutation(random.Random(seed), t.n)))
-        assert domination._dp_order(g, domination.FRONTIER_MAX + 1)[0] <= most
+        assert domination._dp_order(g, g.n + 1)[0] <= most
         cert = exact_gamma_c(g)
         assert (cert.value, cert.method) == (want, METHOD_FRONTIER)
         assert is_dominating(g, cert.witness) and induces_connected(g, cert.witness)
+
+
+#: SHA-256 of the "name value witness-hex method" lines below, as the byte
+#: states' DP gave them: a moved witness, value or route fails the test.
+EXACT_GAMMA_C_PIN = "a6ca3145f33831c97e9aa1d3f453b1d93e3dd4272526bef0dda2622911a136dc"
+
+
+def test_exact_gamma_c_certificates_are_pinned():
+    """exact_gamma_c's certificates, byte for byte, on A and B at k = 5..16,
+    icosa_chain(k) for k = 2..10 and three seeded relabellings each of A30
+    and icosa_chain(10); the first lines and the last are spelled out."""
+    members = [(f"{w}{k}", family(w, k)) for w in ("A", "B") for k in range(5, 17)]
+    members += [(f"chain{k}", icosa_chain(k)) for k in range(2, 11)]
+    for name, t in (("A30", family("A", 30)), ("chain10", icosa_chain(10))):
+        members += [(f"{name} seed {seed}",
+                     relabel(t, random_permutation(random.Random(seed), t.n))) for seed in (0, 1, 2)]
+    lines = []
+    for name, t in members:
+        cert = exact_gamma_c(underlying_graph(t))
+        lines.append(f"{name} {cert.value} {cert.witness:x} {cert.method}\n")
+    assert lines[:2] == ["A5 5 664 frontier-dp\n", "A6 6 3292 frontier-dp\n"]
+    assert lines[-1] == "chain10 seed 2 26 94442524728021020204180b1 frontier-dp\n"
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == EXACT_GAMMA_C_PIN
 
