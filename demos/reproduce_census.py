@@ -31,7 +31,7 @@ def main() -> int:
 
     n_max = 13 if args.extended else 11
     print(f"generating and classifying all triangulations of orders 5..{n_max} ...")
-    rows = td.census_records(5, n_max, workers=args.workers)[0]
+    rows = td.census_rows(td.classified(5, n_max, workers=args.workers))  # keeps no record
 
     print(f"\n{'n':>4} {'total':>8} " + " ".join(f"{'gc=' + str(v):>8}" for v in (1, 2, 3, 4, 5)))
     for row in rows:

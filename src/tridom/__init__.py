@@ -16,6 +16,6 @@ from .planar import underlying_graph
 from .generate import triangulations
 from .domination import classify, exact_gamma, exact_gamma_c, gamma_c_by_contraction
 from .families import family, family_base, icosa_chain, icosahedron, octahedron_sum
-from .census import census_records, compare_reference
+from .census import census_records, census_rows, classified, compare_reference
 
 __version__ = "0.1.0"

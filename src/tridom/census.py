@@ -1,10 +1,10 @@
 """Census of connected domination numbers over all plane triangulations.
 
-Runs the generator level by level, classifies every triangulation, and
-aggregates per-order counts.  A built-in reference table records the known
-counts for orders 5..15 (cells that have never been computed are None and
-are only ever flagged, never asserted).  Records keep the canonical code,
-which rebuilds the graph, and the certificate, so downstream property
+Classifies every triangulation as one stream of records, level by level
+(``classified``), which each consumer folds.  A built-in reference table
+records the known counts for orders 5..15 (cells never computed are None
+and are only ever flagged, never asserted).  Records keep the canonical
+code, which rebuilds the graph, and the certificate, so downstream property
 checks and extremal queries can re-verify everything independently.
 """
 
@@ -171,54 +171,69 @@ def _vertex_set(d: dict, key: str, n: int) -> int:
     return vset(d[key])
 
 
-def _classified(code: bytes, t: Optional[Triangulation] = None) -> tuple:
-    """(code, gamma_c, witness, method, Delta) of a class; t is decoded from
-    the code unless given."""
+def _classified(code: bytes, t: Optional[Triangulation] = None) -> CensusRecord:
+    """The record of a class; t is decoded from the code unless given."""
     if t is None:
         t = triangulation_from_code(code)
     cert = classify(t)
-    return code, cert.value, cert.witness, cert.method, max(map(len, t.rot))
+    return CensusRecord(t.n, code, cert.value, cert.witness, cert.method, max(map(len, t.rot)))
 
 
-def census_records(n_min: int = 5, n_max: int = 11, workers: int = 1,
-                   levels: Optional[Iterable[Tuple[int, Iterable]]] = None,
-                   ) -> Tuple[List[CensusRow], List[CensusRecord]]:
+Stream = Iterable[Tuple[int, Iterable[CensusRecord]]]
+
+
+def classified(n_min: int = 5, n_max: int = 11, workers: int = 1,
+               levels: Optional[Iterable[Tuple[int, Iterable]]] = None) -> Stream:
     """Classify every triangulation of each order in [n_min, n_max].
 
-    Returns per-order rows plus one record per graph, in code order.  The
-    levels, (order, pairs of code and canonical form), come from
-    ``generate.levels`` unless an iterable of them, say from
-    ``levels_from_planar_code``, is supplied.  With workers > 1, a level of
-    64 classes or more, which then needs a len, goes as codes to at most
-    os.cpu_count() processes.  A row's wall_time runs from the previous row
-    (or the call's start), so it covers producing the level, skipped lower
-    orders included, and classifying it; the rows sum to the call.
+    Yields (n, records) level by level, each level's records in code order;
+    a level is classified as its records are read.  The levels, (order,
+    pairs of code and canonical form), come from ``generate.levels`` unless
+    an iterable of them, say from ``levels_from_planar_code``, is supplied.
+    With workers > 1, a level of 64 classes or more, which then needs a
+    len, goes as codes to at most os.cpu_count() processes.
     """
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
-    rows: List[CensusRow] = []
-    records: List[CensusRecord] = []
     source = levels if levels is not None else generate.levels(n_max)
-    t0 = time.perf_counter()
     for n, pairs in source:
         if n < n_min or n > n_max:
             continue
-        results = (_classified(code, t) for code, t in pairs)
+        records = (_classified(code, t) for code, t in pairs)
         if workers > 1 and len(pairs) >= 64:
             # a CodeLevel gives its codes undecoded; a level below the top holds its forms
             codes = pairs.codes if isinstance(pairs, generate.CodeLevel) else [c for c, _ in pairs]
             processes = min(workers, os.cpu_count() or 1)
             from multiprocessing import get_context  # only parallel runs pay for the import
             with get_context().Pool(processes) as pool:
-                results = pool.map(_classified, codes, max(1, len(codes) // (8 * processes)))
+                records = pool.map(_classified, codes, max(1, len(codes) // (8 * processes)))
+        yield n, records
+
+
+def census_rows(stream: Stream, keep: Callable[[CensusRecord], object] = lambda rec: None,
+                ) -> List[CensusRow]:
+    """One row per level of a ``classified`` stream, calling keep on each record.  A row's
+    wall_time runs from the previous row (or the call's start), so it covers producing, classifying
+    and keeping its level, skipped lower orders included; the rows sum to the call."""
+    rows: List[CensusRow] = []
+    t0 = time.perf_counter()
+    for n, records in stream:
         counts: Dict[int, int] = {}
-        for code, value, witness, method, delta in results:
-            counts[value] = counts.get(value, 0) + 1
-            records.append(CensusRecord(n, code, value, witness, method, delta))
+        for rec in records:
+            counts[rec.gamma_c] = counts.get(rec.gamma_c, 0) + 1
+            keep(rec)
         t1 = time.perf_counter()
         rows.append(CensusRow(n, sum(counts.values()), counts, t1 - t0))
         t0 = t1
-    return rows, records
+    return rows
+
+
+def census_records(n_min: int = 5, n_max: int = 11, workers: int = 1,
+                   levels: Optional[Iterable[Tuple[int, Iterable]]] = None,
+                   ) -> Tuple[List[CensusRow], List[CensusRecord]]:
+    """The rows of ``classified(n_min, n_max, workers, levels)`` and every record."""
+    records: List[CensusRecord] = []
+    return census_rows(classified(n_min, n_max, workers, levels), records.append), records
 
 
 def levels_from_planar_code(data: bytes) -> List[Tuple[int, generate.CodeLevel]]:
@@ -338,14 +353,8 @@ def verify_corpus(records: Iterable[CensusRecord], cross_solver_max_n: int = 10,
     return report
 
 
-def find_extremal(records: Iterable[CensusRecord],
-                  predicate: Callable[[CensusRecord], bool]) -> List[CensusRecord]:
-    """All records satisfying the predicate, sorted by (n, canonical code)."""
-    return sorted(filter(predicate, records), key=lambda r: (r.n, r.code))
-
-
 # ---------------------------------------------------------------------------
-# Persistence: CSV for rows, JSON for rows plus records.
+# Persistence: CSV for rows, JSON for records plus rows.
 
 def rows_to_csv(rows: Sequence[CensusRow], out: TextIO) -> None:
     """Write the rows as CSV to out, with the columns of ``gamma_c_columns``."""
@@ -356,13 +365,18 @@ def rows_to_csv(rows: Sequence[CensusRow], out: TextIO) -> None:
         writer.writerow([r.n, r.total] + [r.count(v) for v in columns] + [repr(r.wall_time)])
 
 
-def results_to_json(rows: Iterable[CensusRow], records: Iterable[CensusRecord],
-                    out: TextIO) -> None:
-    """Write rows and records as JSON to out, as it is serialised."""
-    json.dump({"rows": [{"n": r.n, "total": r.total,
-                         "counts": {str(k): v for k, v in sorted(r.counts_by_gamma_c.items())},
-                         "wall_time": r.wall_time} for r in rows],
-               "records": [rec.to_dict() for rec in records]}, out, indent=1)
+def results_to_json(stream: Stream, out: TextIO) -> List[CensusRow]:
+    """Write a ``classified`` stream as JSON to out as it runs, and return its
+    rows: first the records, one object a line as each is classified, then
+    the rows, which are known only at the end."""
+    out.write('{"records": [')
+    sep = iter(["\n"])  # next(sep, ",\n") gives "\n" before the first record, ",\n" after
+    rows = census_rows(stream, lambda rec: out.write(next(sep, ",\n") + json.dumps(rec.to_dict())))
+    out.write('\n],\n"rows": [' + ",".join(
+        "\n" + json.dumps({"n": r.n, "total": r.total,
+                           "counts": {str(k): v for k, v in sorted(r.counts_by_gamma_c.items())},
+                           "wall_time": r.wall_time}) for r in rows) + "\n]}\n")
+    return rows
 
 
 def _load_error(kind: str, d, exc: Exception, *keys: str) -> ValueError:
@@ -375,9 +389,8 @@ def _load_error(kind: str, d, exc: Exception, *keys: str) -> ValueError:
 
 def _row_from_dict(d: dict) -> CensusRow:
     """The row ``results_to_json`` wrote, checked: n, total and the counts
-    are ints (not bools), wall_time a number, each count key the decimal
-    string of a gamma_c >= 1, each count non-negative, and the counts sum to
-    total."""
+    are ints (not bools), wall_time a number, and each count key the decimal
+    string of a gamma_c >= 1."""
     counts = {}
     for key, count in d["counts"].items():
         value = int(key)
@@ -388,18 +401,14 @@ def _row_from_dict(d: dict) -> CensusRow:
     if not (all(type(x) is int for x in (row.n, row.total, *counts.values()))
             and type(row.wall_time) in (int, float)):
         raise TypeError("n, total and counts must be integers, wall_time a number")
-    if any(count < 0 for count in counts.values()):
-        raise ValueError("counts must not be negative")
-    if sum(counts.values()) != row.total:
-        raise ValueError(f"counts sum to {sum(counts.values())}, not total {row.total}")
     return row
 
 
 def results_from_json(text: str) -> Tuple[List[CensusRow], List[CensusRecord]]:
-    """The rows and records ``results_to_json`` wrote, the reader of
-    ``tridom census --json`` output; raises ValueError if the payload is not
-    an object with lists rows and records, or naming the first row or record
-    that is malformed (see ``_row_from_dict`` and ``CensusRecord.from_dict``)."""
+    """The rows and records ``results_to_json`` wrote, in either key order;
+    raises ValueError if the payload is not an object with lists rows and
+    records, or naming the first malformed row or record (``_row_from_dict``,
+    ``CensusRecord.from_dict``) or a row whose total or counts differ from its records'."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError(f"census JSON must be an object, not {type(payload).__name__}")
@@ -413,4 +422,10 @@ def results_from_json(text: str) -> Tuple[List[CensusRow], List[CensusRecord]]:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _load_error("row", d, exc, "n") from exc
     records = [CensusRecord.from_dict(d) for d in payload["records"]]
+    for row in rows:
+        values = [rec.gamma_c for rec in records if rec.n == row.n]
+        counts = {value: values.count(value) for value in set(values)}
+        if (row.total, row.counts_by_gamma_c) != (len(values), counts):
+            raise ValueError(f"row n={row.n}: total {row.total} and counts {row.counts_by_gamma_c}"
+                             f" are not its records' {len(values)} and {counts}")
     return rows, records

@@ -12,7 +12,7 @@ import ast
 import json
 import os
 import sys
-from contextlib import AbstractContextManager, nullcontext
+from contextlib import AbstractContextManager, nullcontext, redirect_stdout
 from types import CodeType
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -67,7 +67,7 @@ class _Output(AbstractContextManager):
             raise UsageError(f"cannot write {self.path}: {exc.strerror}") from exc
 
     def write(self, data: Union[bytes, str]) -> None:
-        try:  # not through _do: json.dump calls this once per token
+        try:  # not through _do: the census JSON calls this once per record
             (self.stream.buffer if isinstance(data, bytes) else self.stream).write(data)
         except OSError as exc:
             raise UsageError(f"cannot write {self.path}: {exc.strerror}") from exc
@@ -84,10 +84,11 @@ def _serialised(pairs: Iterable[Tuple[bytes, Triangulation]], fmt: str) -> Itera
         yield from (planar_code_record(t) for _, t in pairs)
     elif fmt == "graph6":
         yield from (graph6_write(underlying_graph(t)) + "\n" for _, t in pairs)
-    else:  # json: rotation systems plus codes
-        yield from json.JSONEncoder(indent=1).iterencode(
-            [{"n": t.n, "rotations": t.rot, "code": code.hex()} for code, t in pairs])
-        yield "\n"
+    else:  # json: rotation systems plus codes, one a line as in ``census.results_to_json``
+        items = ({"n": t.n, "rotations": t.rot, "code": code.hex()} for code, t in pairs)
+        yield "["
+        yield from (("," if i else "") + "\n" + json.dumps(item) for i, item in enumerate(items))
+        yield "\n]\n"
 
 
 def _cmd_generate(args) -> int:
@@ -191,10 +192,13 @@ def _cmd_census(args) -> int:
             raise UsageError(f"{args.input} holds orders {outside} outside --n-min..--n-max"
                              f" ({args.n_min}..{args.n_max})")
     with (_Output(args.csv, "a") if args.csv else nullcontext() as csv_out,  # before the census
-          _Output(args.json, "a") if args.json else nullcontext() as json_out):
+          _Output(args.json, "a") if args.json else nullcontext() as json_out,  # "-" keeps stdout
+          redirect_stdout(sys.stderr) if "-" in (args.csv, args.json) else nullcontext()):
         for out in filter(None, (csv_out, json_out)):
             out.empty()  # only once both are open, so a path that fails empties neither
-        rows, records = census_mod.census_records(args.n_min, args.n_max, args.workers, ingested)
+        stream = census_mod.classified(args.n_min, args.n_max, args.workers, ingested)
+        rows = (census_mod.results_to_json(stream, json_out) if json_out
+                else census_mod.census_rows(stream))
         columns = census_mod.gamma_c_columns(rows)
         print(f"{'n':>4} {'total':>9} " + " ".join(f"gc={v:<5}" for v in columns) + "  seconds")
         for row in rows:
@@ -202,17 +206,15 @@ def _cmd_census(args) -> int:
             print(f"{row.n:>4} {row.total:>9} {cells}  {row.wall_time:.2f}")
         if csv_out:
             census_mod.rows_to_csv(rows, csv_out)
-        if json_out:
-            census_mod.results_to_json(rows, records, json_out)
-    if not args.compare:
-        return 0
-    diff = census_mod.compare_reference(rows)
-    for line in diff.mismatches:
-        print(f"MISMATCH {line}")
-    for line in diff.no_oracle:
-        print(f"UNCHECKED {line}")
-    print("reference check: " + ("ok" if diff.ok else f"{len(diff.mismatches)} mismatches"))
-    return 0 if diff.ok else 1
+        if not args.compare:
+            return 0
+        diff = census_mod.compare_reference(rows)
+        for line in diff.mismatches:
+            print(f"MISMATCH {line}")
+        for line in diff.no_oracle:
+            print(f"UNCHECKED {line}")
+        print("reference check: " + ("ok" if diff.ok else f"{len(diff.mismatches)} mismatches"))
+        return 0 if diff.ok else 1
 
 
 def _cmd_family(args) -> int:
@@ -247,8 +249,9 @@ def _cmd_family(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_range(args)
-    _, records = census_mod.census_records(args.n_min, args.n_max, args.workers)
-    report = census_mod.verify_corpus(records, cross_solver_max_n=args.cross_max_n)
+    stream = census_mod.classified(args.n_min, args.n_max, args.workers)
+    report = census_mod.verify_corpus((rec for _, level in stream for rec in level),
+                                      cross_solver_max_n=args.cross_max_n)
     for line in report.violations:
         print(f"VIOLATION {line}")
     print(f"checked {report.graphs_checked} graphs, {report.checks_run} checks, "
@@ -286,7 +289,7 @@ def _where_code(text: str) -> CodeType:
 def _cmd_extremal(args) -> int:
     code = _where_code(args.where)  # no nested scopes, so co_names holds every name
     _check_range(args)
-    _, records = census_mod.census_records(args.n_min, args.n_max, args.workers)
+    stream = census_mod.classified(args.n_min, args.n_max, args.workers)
 
     def predicate(rec) -> bool:
         env = {"n": rec.n, "gamma_c": rec.gamma_c, "Delta": rec.Delta}
@@ -297,7 +300,7 @@ def _cmd_extremal(args) -> int:
         except ArithmeticError as exc:
             raise UsageError(f"--where fails at n={rec.n}: {exc}") from exc
 
-    hits = census_mod.find_extremal(records, predicate)
+    hits = [rec for _, level in stream for rec in level if predicate(rec)]  # by (n, code)
     for rec in hits:
         print(json.dumps(rec.to_dict()))
     print(f"{len(hits)} graphs match", file=sys.stderr)

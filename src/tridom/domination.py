@@ -120,7 +120,6 @@ from .graphs import (
     STOP,
     Graph,
     bits,
-    closed_neighborhood,
     degree_stats,
     enumerate_connected_sets,
     induces_connected,
@@ -655,7 +654,7 @@ def classify(t: Triangulation) -> DominationCertificate:
     if dmax == n - 1:
         cert = DominationCertificate(1, 1 << vmax, METHOD_DELTA)
     elif dmax == n - 2:
-        w = (g.full & ~closed_neighborhood(g, vmax)).bit_length() - 1
+        w = (g.full & ~(g.adj[vmax] | 1 << vmax)).bit_length() - 1
         common = g.adj[vmax] & g.adj[w]
         if not common:  # w is isolated
             _require_connected(g)

@@ -83,13 +83,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-def closed_neighborhood(g: Graph, v: int) -> int:
-    """N[v]: the neighbors of v together with v itself."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for order {g.n}")
-    return g.adj[v] | (1 << v)
-
-
 def is_dominating(g: Graph, s: int) -> bool:
     """True iff the union of closed neighborhoods over s covers every vertex."""
     if s & ~g.full:

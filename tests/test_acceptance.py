@@ -18,7 +18,7 @@ import time
 import pytest
 
 import tridom as td
-from tridom.census import REFERENCE_CENSUS, census_records, find_extremal
+from tridom.census import REFERENCE_CENSUS, census_records
 from tridom.domination import (
     bfs_tree_cds,
     classify,
@@ -229,15 +229,15 @@ def test_criterion_5_near_max_degree_forces_value_2_or_3(census_default, census_
 def test_criterion_6_extremal_identification(census_default, census_extended):
     records = [r for r in census_default[1]] + [r for r in census_extended[1] if r.n <= 12]
     upto9 = [r for r in records if r.n <= 9]
-    gap9 = find_extremal(upto9, lambda r: r.gamma_c != r.gamma)
+    gap9 = [r for r in upto9 if r.gamma_c != r.gamma]
     ok9 = len(gap9) == 1 and gap9[0].gamma == 2 and gap9[0].gamma_c == 3
     upto12 = [r for r in records if r.n <= 12]
-    gap12 = find_extremal(upto12, lambda r: r.gamma_c > r.gamma + 1)
+    gap12 = [r for r in upto12 if r.gamma_c > r.gamma + 1]
     ico_code = canonical_code(td.icosahedron())
     ok12 = (len(gap12) == 2
             and all(r.gamma == 2 and r.gamma_c == 4 for r in gap12)
             and sum(1 for r in gap12 if r.code == ico_code) == 1)
-    value4 = find_extremal(records, lambda r: r.n == 12 and r.gamma_c == 4)
+    value4 = [r for r in records if r.n == 12 and r.gamma_c == 4]
     report("6 (extremal graphs)", ok9 and ok12 and len(value4) == 5,
            f"n<=9 gap graphs: {len(gap9)}, n<=12 wide-gap graphs: {len(gap12)}, "
            f"n=12 value-4 graphs: {len(value4)}")

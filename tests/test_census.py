@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -7,6 +8,8 @@ import os
 import random
 import time
 import tracemalloc
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
@@ -16,8 +19,9 @@ from tridom.census import (
     CensusRow,
     REFERENCE_CENSUS,
     census_records,
+    census_rows,
+    classified,
     compare_reference,
-    find_extremal,
     levels_from_planar_code,
     results_from_json,
     results_to_json,
@@ -252,20 +256,29 @@ def test_verify_corpus_cross_check_catches_value_one_too_high(census_default):
     assert "contraction solver disagrees" in report.violations[0]
 
 
-def test_find_extremal_unique_gap_graph_up_to_9(census_default):
-    _, records = census_default
-    upto9 = [r for r in records if r.n <= 9]
-    hits = find_extremal(upto9, lambda r: r.gamma_c != r.gamma)
-    assert len(hits) == 1
-    assert hits[0].gamma == 2 and hits[0].gamma_c == 3 and hits[0].n == 9
+def test_rows_only_fold_holds_no_record_past_its_level():
+    """Folding classified(5, 11) into rows holds, at each level boundary, no
+    CensusRecord beyond those alive before it started and the last one read;
+    keeping the records, as census_records does, holds every record of the
+    levels before."""
+    def records_alive():
+        return sum(isinstance(o, CensusRecord) for o in gc.get_objects())
 
+    def watched(stream, seen):
+        for n, records in stream:
+            seen.append(records_alive())
+            yield n, records
+        seen.append(records_alive())
 
-def test_find_extremal_value3_counts(census_default):
-    _, records = census_default
-    hits = find_extremal(records, lambda r: r.gamma_c == 3 and r.n == 10)
-    assert len(hits) == 13
-    codes = [r.code for r in hits]
-    assert codes == sorted(codes)
+    gc.collect()
+    before = records_alive()
+    seen = []
+    rows = census_rows(watched(classified(5, 11), seen))
+    assert len(seen) == 8 and all(before <= alive <= before + 1 for alive in seen), seen
+    kept, seen = [], []
+    census_rows(watched(classified(5, 11), seen), kept.append)
+    assert seen == [before + sum(r.total for r in rows if r.n < n) for n in range(5, 13)]
+    assert len(kept) == 1554
 
 
 def _csv(rows) -> str:
@@ -274,10 +287,15 @@ def _csv(rows) -> str:
     return out.getvalue()
 
 
-def _json(rows, records) -> str:
+def _json(records):
+    """The text results_to_json writes for records in (n, code) order, and its rows."""
     out = io.StringIO()
-    results_to_json(rows, records, out)
-    return out.getvalue()
+    rows = results_to_json(groupby(records, attrgetter("n")), out)
+    return out.getvalue(), rows
+
+
+def _counts(rows):
+    return [(r.n, r.total, r.counts_by_gamma_c) for r in rows]
 
 
 def test_rows_csv_round_trip():
@@ -293,37 +311,52 @@ def test_rows_csv_round_trip():
 
 
 def test_results_json_round_trip(census_default):
+    """The writer puts the records first, one object a line, then the rows,
+    and ends with a newline; the text loads to the rows it returned and to
+    the records, and so does the rows-first, indent=1 layout that earlier
+    versions wrote."""
     rows, records = census_default
-    some = [r for r in records if r.n == 9]
-    text = _json([r for r in rows if r.n == 9], some)
-    rows2, records2 = results_from_json(text)
-    assert rows2 == [r for r in rows if r.n == 9]
-    assert [(r.n, r.code, r.gamma_c, r.gamma_c_witness, r.method, r.Delta)
-            for r in records2] == \
-        [(r.n, r.code, r.gamma_c, r.gamma_c_witness, r.method, r.Delta)
-         for r in some]
+    some = [r for r in records if r.n <= 9]
+    text, written = _json(some)
+    assert _counts(written) == _counts(r for r in rows if r.n <= 9)
+    lines = text.split("\n")
+    assert lines[0] == '{"records": [' and lines[len(some) + 1] == "],"
+    assert [json.loads(line.rstrip(",")) for line in lines[1:len(some) + 1]] == \
+        [r.to_dict() for r in some]
+    assert lines[len(some) + 2] == '"rows": [' and text.endswith("\n]}\n")
+    earlier = json.dumps({"rows": [{"n": r.n, "total": r.total,
+                                    "counts": {str(k): v for k, v in r.counts_by_gamma_c.items()},
+                                    "wall_time": r.wall_time} for r in written],
+                          "records": [r.to_dict() for r in some]}, indent=1)
+    fields = attrgetter("n", "code", "gamma_c", "gamma_c_witness", "method", "Delta")
+    for payload in (text, earlier):
+        rows2, records2 = results_from_json(payload)
+        assert rows2 == written
+        assert list(map(fields, records2)) == list(map(fields, some))
 
 
 def test_census_json_is_written_as_it_is_serialised(census_default):
-    """Writing the JSON of orders 5..11 peaks below 1.5 MiB under tracemalloc:
-    the record dicts, not the text.  Building the whole text first took
-    3.2 MiB, and json.dump into the file 0.9 MiB."""
-    rows, records = census_default
-    with open(os.devnull, "w") as out:
-        tracemalloc.start()
-        try:
-            results_to_json(rows, records, out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 1.5 * 2**20, f"{peak / 2**20:.2f} MiB"
+    """The JSON writer's traced peak does not grow with the records: orders
+    5..11 (1,554 records) peak no higher than orders 5..10 (305 records).
+    One dict per record built before writing took 0.9 MiB for 5..11."""
+    _, records = census_default
+    peaks = []
+    for n_max in (10, 11):
+        stream = groupby([r for r in records if r.n <= n_max], attrgetter("n"))
+        with open(os.devnull, "w") as out:
+            tracemalloc.start()
+            try:
+                results_to_json(stream, out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**12, peaks
 
 
 def test_json_record_resolves_to_same_certificate(census_default):
     rows, records = census_default
     rec = next(r for r in records if r.n == 9 and r.gamma_c == 3)
-    text = _json([], [rec])
-    _, (back,) = results_from_json(text)
+    _, (back,) = results_from_json(_json([rec])[0])
     g = back.graph()
     assert exact_gamma_c(g).value == 3
     assert is_dominating(g, back.gamma_c_witness)
@@ -379,6 +412,8 @@ def test_json_records_are_checked_on_load(census_default, field, corrupt, messag
 
 
 _WHOLE = object()  # records given as this: rows is the whole payload
+_NINE = object()  # records given as this: the 50 records of order 9
+_ONE_OF_NINE = object()  # records given as this: the first record of order 9
 _ROW = {"n": 9, "total": 50, "counts": {"1": 12, "2": 37, "3": 1}, "wall_time": 0.1}
 
 
@@ -400,18 +435,24 @@ _ROW = {"n": 9, "total": 50, "counts": {"1": 12, "2": 37, "3": 1}, "wall_time": 
     ([{**_ROW, "counts": {"1": 12, "01": 38}}], [],
      r"^row n=9: count key '01' is not a gamma_c >= 1 in decimal$"),
     ([{**_ROW, "counts": {"0": 50}}], [], r"^row n=9: count key '0' is not a gamma_c >= 1 "),
-    ([{**_ROW, "counts": {"1": -3, "2": 999}}], [], r"^row n=9: counts must not be negative$"),
+    ([{**_ROW, "counts": {"1": 12, "2": 36, "3": 2}}], _NINE,
+     r"^row n=9: total 50 and counts \{1: 12, 2: 36, 3: 2\} are not its records' 50 and "),
     ([{**_ROW, "counts": {"1": True, "2": 49}}], [], r"^row n=9: n, total and counts must be "),
-    ([{**_ROW, "counts": {"1": 12, "2": 37}}], [], r"^row n=9: counts sum to 49, not total 50$"),
+    ([{**_ROW, "total": 51}], _NINE, r"^row n=9: total 51 and counts .* are not its records' 50 "),
+    ([_ROW], _ONE_OF_NINE,
+     r"^row n=9: total 50 and counts .* are not its records' 1 and \{2: 1\}$"),
 ])
-def test_json_rows_and_non_object_records_are_checked_on_load(rows, records, message):
+def test_json_rows_and_non_object_records_are_checked_on_load(census_default, rows, records,
+                                                               message):
     """A malformed row (a count key that is not the decimal string of a
-    gamma_c >= 1, a count that is negative or not an int, counts that do not
-    sum to total), a record that is not an object, or a payload that is not
-    an object with lists rows and records raises ValueError naming it; the
-    well-formed row loads."""
-    (row,), _ = results_from_json(json.dumps({"rows": [_ROW], "records": []}))
+    gamma_c >= 1, a count that is not an int), a row whose total or counts
+    differ from its order's records, a record that is not an object, or a
+    payload that is not an object with lists rows and records raises
+    ValueError naming it; the well-formed row with its records loads."""
+    nine = [r.to_dict() for r in census_default[1] if r.n == 9]
+    (row,), _ = results_from_json(json.dumps({"rows": [_ROW], "records": nine}))
     assert (row.n, row.total, row.counts_by_gamma_c) == (9, 50, {1: 12, 2: 37, 3: 1})
+    records = nine if records is _NINE else nine[:1] if records is _ONE_OF_NINE else records
     payload = {key: v for key, v in (("rows", rows), ("records", records)) if v is not _DROP}
     with pytest.raises(ValueError, match=message):
         results_from_json(json.dumps(rows if records is _WHOLE else payload))

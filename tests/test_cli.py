@@ -37,9 +37,12 @@ def test_generate_graph6_lines(tmp_path):
 def test_generate_json(tmp_path):
     out = tmp_path / "t6.json"
     assert main(["generate", "--n", "6", "--format", "json", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    text = out.read_text()
+    payload = json.loads(text)
     assert len(payload) == 2
     assert all(set(d) == {"n", "rotations", "code"} for d in payload)
+    assert text.splitlines() == ["["] + [json.dumps(d) + "," for d in payload[:-1]] + \
+        [json.dumps(payload[-1]), "]"]
 
 
 def test_generate_json_codes_nothing(monkeypatch, tmp_path):
@@ -320,7 +323,8 @@ def test_census_table_and_csv_show_every_gamma_c(tmp_path, capsys):
     capsys.readouterr()
     assert main(["census", "--input", str(member), "--n-min", "18", "--n-max", "18",
                  "--csv", "-"]) == 0
-    header, row, csv_header, csv_row = capsys.readouterr().out.splitlines()
+    out, err = capsys.readouterr()
+    (header, row), (csv_header, csv_row) = err.splitlines(), out.splitlines()
     assert header.split() == ["n", "total", "gc=1", "gc=2", "gc=3", "gc=4", "gc=5", "gc=6",
                               "seconds"]
     assert row.split()[:8] == ["18", "1", "0", "0", "0", "0", "0", "1"]
@@ -329,6 +333,21 @@ def test_census_table_and_csv_show_every_gamma_c(tmp_path, capsys):
     assert csv_row.startswith("18,1,0,0,0,0,0,1,")
     (back,) = rows_from_csv(f"{csv_header}\n{csv_row}\n")
     assert back.counts_by_gamma_c == {6: 1}
+
+
+@pytest.mark.parametrize("output", ["--json", "--csv"])
+def test_census_output_named_dash_has_stdout_to_itself(capsys, output):
+    """With --json - or --csv -, stdout holds that output alone and loads;
+    the table and the --compare lines go to stderr, and the exit code is the
+    same."""
+    from tridom.census import results_from_json
+    assert main(["census", "--n-min", "8", "--n-max", "8", "--compare", output, "-"]) == 1
+    out, err = capsys.readouterr()
+    rows = results_from_json(out)[0] if output == "--json" else rows_from_csv(out)
+    assert [(r.n, r.total, r.counts_by_gamma_c) for r in rows] == [(8, 14, {1: 4, 2: 10})]
+    assert err.splitlines()[0].split()[:2] == ["n", "total"]
+    assert "MISMATCH n=8 gamma_c=1: got 4, reference 3" in err
+    assert "reference check: 2 mismatches" in err
 
 
 def test_census_ingests_planar_code(tmp_path, capsys):
@@ -450,6 +469,17 @@ def test_extremal_where(capsys):
     assert len(out) == 1
     rec = json.loads(out[0])
     assert rec["n"] == 9 and rec["gamma_c"] == 3 and rec["gamma"] == 2
+
+
+def test_extremal_prints_matches_in_n_and_code_order(capsys):
+    """The 14 classes of orders 5..10 with gamma_c = 3 are printed by (n, code)."""
+    assert main(["extremal", "--n-max", "10", "--where", "gamma_c == 3"]) == 0
+    out, err = capsys.readouterr()
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in recs] == [9] + [10] * 13
+    keys = [(r["n"], bytes.fromhex(r["code"])) for r in recs]
+    assert keys == sorted(keys) and len(set(keys)) == 14
+    assert "14 graphs match" in err
 
 
 def test_extremal_rejects_unknown_names():

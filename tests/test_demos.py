@@ -34,7 +34,8 @@ def test_reproduce_census_demo_exits_1_on_another_differing_cell(monkeypatch, ca
     spec.loader.exec_module(demo)
     rows = [CensusRow(8, 14, {1: 4, 2: 10}, 0.0), CensusRow(9, 50, {1: 12, 2: 36, 3: 2}, 0.0),
             CensusRow(12, 7595, {1: 228, 2: 5189, 3: 2173, 4: 5}, 0.0)]
-    monkeypatch.setattr(td, "census_records", lambda *args, **kwargs: (rows, []))
+    monkeypatch.setattr(td, "classified", lambda *args, **kwargs: iter(()))
+    monkeypatch.setattr(td, "census_rows", lambda stream: rows)
     monkeypatch.setattr(sys, "argv", ["reproduce_census.py"])
     assert demo.main() == 1
     out = capsys.readouterr().out

@@ -8,7 +8,6 @@ from tridom.graphs import (
     PRUNE,
     STOP,
     bits,
-    closed_neighborhood,
     degree_stats,
     enumerate_connected_sets,
     graph6_read,
@@ -52,20 +51,11 @@ def test_all_constructors_produce_simple_symmetric_graphs():
         check_graph(g)
 
 
-def test_closed_neighborhood():
-    k4 = complete_graph(4)
-    assert closed_neighborhood(k4, 0) == vset([0, 1, 2, 3])
-    p3 = path_graph(3)
-    assert closed_neighborhood(p3, 0) == vset([0, 1])
-    with pytest.raises(ValueError):
-        closed_neighborhood(p3, 3)
-
-
 def test_icosahedron_closed_neighborhoods_are_six():
     g = underlying_graph(icosahedron())
     for v in range(12):
         assert g.degree(v) == 5
-        assert closed_neighborhood(g, v).bit_count() == 6
+        assert (g.adj[v] | 1 << v).bit_count() == 6
 
 
 def test_is_dominating_basics():
