@@ -6,16 +6,16 @@ records the known counts for orders 5..15 (cells never computed are None
 and are only ever flagged, never asserted).  Records keep the canonical
 code, which rebuilds the graph, and the certificate, so downstream property
 checks and extremal queries can re-verify everything independently.
+``json`` and ``csv`` are imported inside the persistence functions that use
+them, so ``import tridom`` loads neither.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, TextIO, Tuple
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, TextIO,
+                    Tuple)
 
 from . import generate
 from .domination import (
@@ -50,8 +50,7 @@ REFERENCE_CENSUS: Dict[int, Tuple[int, Dict[int, Optional[int]]]] = {
 }
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     total: int
     counts_by_gamma_c: Dict[int, int]
@@ -251,8 +250,7 @@ def levels_from_planar_code(data: bytes) -> List[Tuple[int, generate.CodeLevel]]
     return [(n, generate.CodeLevel(by_n[n])) for n in sorted(by_n)]
 
 
-@dataclass(frozen=True)
-class ReferenceDiff:
+class ReferenceDiff(NamedTuple):
     mismatches: List[str]
     no_oracle: List[str]
 
@@ -282,11 +280,11 @@ def compare_reference(rows: Iterable[CensusRow]) -> ReferenceDiff:
     return ReferenceDiff(mismatches, no_oracle)
 
 
-@dataclass
 class CorpusReport:
-    graphs_checked: int = 0
-    checks_run: int = 0
-    violations: List[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.graphs_checked = 0
+        self.checks_run = 0
+        self.violations: List[str] = []
 
     @property
     def ok(self) -> bool:
@@ -358,6 +356,7 @@ def verify_corpus(records: Iterable[CensusRecord], cross_solver_max_n: int = 10,
 
 def rows_to_csv(rows: Sequence[CensusRow], out: TextIO) -> None:
     """Write the rows as CSV to out, with the columns of ``gamma_c_columns``."""
+    import csv  # only CSV output pays for the import
     columns = gamma_c_columns(rows)
     writer = csv.writer(out)
     writer.writerow(["n", "total"] + [f"gamma_c_{v}" for v in columns] + ["wall_time_s"])
@@ -369,6 +368,7 @@ def results_to_json(stream: Stream, out: TextIO) -> List[CensusRow]:
     """Write a ``classified`` stream as JSON to out as it runs, and return its
     rows: first the records, one object a line as each is classified, then
     the rows, which are known only at the end."""
+    import json  # only JSON output pays for the import
     out.write('{"records": [')
     sep = iter(["\n"])  # next(sep, ",\n") gives "\n" before the first record, ",\n" after
     rows = census_rows(stream, lambda rec: out.write(next(sep, ",\n") + json.dumps(rec.to_dict())))
@@ -409,6 +409,7 @@ def results_from_json(text: str) -> Tuple[List[CensusRow], List[CensusRecord]]:
     raises ValueError if the payload is not an object with lists rows and
     records, or naming the first malformed row or record (``_row_from_dict``,
     ``CensusRecord.from_dict``) or a row whose total or counts differ from its records'."""
+    import json  # only JSON input pays for the import
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError(f"census JSON must be an object, not {type(payload).__name__}")

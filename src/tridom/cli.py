@@ -8,7 +8,6 @@ found, so shell pipelines can gate on them.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import os
 import sys
@@ -260,21 +259,22 @@ def _cmd_verify(args) -> int:
 
 
 _WHERE_NAMES = ("n", "gamma", "gamma_c", "Delta")
-_WHERE_NODES = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.UnaryOp, ast.USub,
-                ast.Not, ast.BoolOp, ast.And, ast.Or, ast.Compare, ast.Eq, ast.NotEq, ast.Lt,
-                ast.LtE, ast.Gt, ast.GtE, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.FloorDiv,
-                ast.Mod)
 
 
 def _where_code(text: str) -> CodeType:
     """Compile a --where expression once every node of it passes the whitelist."""
+    import ast  # only extremal runs pay for the import
+    allowed = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.UnaryOp, ast.USub,
+               ast.Not, ast.BoolOp, ast.And, ast.Or, ast.Compare, ast.Eq, ast.NotEq, ast.Lt,
+               ast.LtE, ast.Gt, ast.GtE, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.FloorDiv,
+               ast.Mod)
     try:
         tree = ast.parse(text, "<where>", mode="eval")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id not in _WHERE_NAMES:
                 raise UsageError(f"unknown name {node.id!r} in --where"
                                  f" (use {', '.join(_WHERE_NAMES)})")
-            if not isinstance(node, _WHERE_NODES) or (
+            if not isinstance(node, allowed) or (
                     isinstance(node, ast.Constant) and not isinstance(node.value, int)):
                 raise UsageError("--where allows only the four names, int constants,"
                                  " comparisons, and/or/not, unary minus and + - * // %;"

@@ -110,10 +110,9 @@ re-checked (size, domination) before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import (
     PRUNE,
@@ -137,8 +136,7 @@ METHOD_BFS_TREE = "bfs-tree-bound"
 METHOD_DELTA = "delta-shortcut"
 
 
-@dataclass(frozen=True)
-class DominationCertificate:
+class DominationCertificate(NamedTuple):
     value: int
     witness: int  # vertex bitmask
     method: str

@@ -31,7 +31,6 @@ Whether this is the paper's chain is not settled here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -124,21 +123,20 @@ def family(which: str, k: int) -> Triangulation:
     return t
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """Which extremal construction to build: family A/B at 3k vertices, or a chain."""
-    kind: str  # "A", "B" or "chain"
-    k: int
 
-    def __post_init__(self) -> None:
-        if self.kind in ("A", "B"):
-            if self.k < 3:
+    def __init__(self, kind: str, k: int) -> None:
+        if kind in ("A", "B"):
+            if k < 3:
                 raise ValueError("families A and B need k >= 3")
-        elif self.kind == "chain":
-            if self.k < 2:
+        elif kind == "chain":
+            if k < 2:
                 raise ValueError("chains need k >= 2")
         else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+            raise ValueError(f"unknown family kind {kind!r}")
+        self.kind = kind  # "A", "B" or "chain"
+        self.k = k
 
     def build(self) -> Triangulation:
         if self.kind == "chain":

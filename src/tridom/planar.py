@@ -54,8 +54,7 @@ generation uses them to decide a child whose new vertex ties with others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import Graph, is_connected
 
@@ -96,8 +95,7 @@ class Triangulation:
         return f"Triangulation(n={self.n}, m={self.edge_count()})"
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     ok: bool
     problem: Optional[str] = None
 

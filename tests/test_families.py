@@ -405,9 +405,9 @@ def test_icosa_chain_dominating_witness_structure():
 def test_family_spec_validation():
     assert FamilySpec("A", 3).build().n == 9
     assert FamilySpec("chain", 2).build().n == 22
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^families A and B need k >= 3$"):
         FamilySpec("A", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^chains need k >= 2$"):
         FamilySpec("chain", 1)
-    with pytest.raises(ValueError):
-        FamilySpec("D", 3)
+    with pytest.raises(ValueError, match=r"^unknown family kind 'C'$"):
+        FamilySpec("C", 5)
