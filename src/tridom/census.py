@@ -408,7 +408,8 @@ def results_from_json(text: str) -> Tuple[List[CensusRow], List[CensusRecord]]:
     """The rows and records ``results_to_json`` wrote, in either key order;
     raises ValueError if the payload is not an object with lists rows and
     records, or naming the first malformed row or record (``_row_from_dict``,
-    ``CensusRecord.from_dict``) or a row whose total or counts differ from its records'."""
+    ``CensusRecord.from_dict``), a second row for one order, or a row whose
+    total or counts differ from its records'."""
     import json  # only JSON input pays for the import
     payload = json.loads(text)
     if not isinstance(payload, dict):
@@ -416,17 +417,20 @@ def results_from_json(text: str) -> Tuple[List[CensusRow], List[CensusRecord]]:
     for key in ("rows", "records"):
         if not isinstance(payload.get(key), list):
             raise ValueError(f"census JSON: {key!r} is missing or not a list")
-    rows = []
+    rows: Dict[int, CensusRow] = {}
     for d in payload["rows"]:
         try:
-            rows.append(_row_from_dict(d))
+            row = _row_from_dict(d)
+            if row.n in rows:
+                raise ValueError(f"a second row for order {row.n}")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _load_error("row", d, exc, "n") from exc
+        rows[row.n] = row
     records = [CensusRecord.from_dict(d) for d in payload["records"]]
-    for row in rows:
+    for row in rows.values():
         values = [rec.gamma_c for rec in records if rec.n == row.n]
         counts = {value: values.count(value) for value in set(values)}
         if (row.total, row.counts_by_gamma_c) != (len(values), counts):
             raise ValueError(f"row n={row.n}: total {row.total} and counts {row.counts_by_gamma_c}"
                              f" are not its records' {len(values)} and {counts}")
-    return rows, records
+    return list(rows.values()), records

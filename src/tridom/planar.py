@@ -206,11 +206,13 @@ def _min_code(rot) -> Tuple[List[int], List[List[int]]]:
     gives y the label the first one gives x.  The arrays come in the order
     of (orientation, u0, v0 in the rotation of u0), clockwise first.
 
-    Each candidate is a breadth-first pass that compares every rotation
-    block with the same stretch of ``best`` before keeping it: a larger
-    block aborts the candidate, and only a smaller one starts a new code
-    from ``best``'s prefix.  Block 1 is the same for every candidate and is
-    not compared.
+    The candidates are breadth-first passes that advance together: at step
+    t each live candidate emits the rotation block of its vertex labelled
+    t + 2, and the least of those blocks is the code's next block.  A
+    candidate with a larger block drops out, so none runs past the block
+    where it loses; the survivors come back in candidate order.  Block 1,
+    the same for every candidate, is not compared, and blocks are compared
+    without their 0 terminator, which makes a proper prefix the smaller.
     """
     n = len(rot)
     degs = [len(r) for r in rot]
@@ -218,59 +220,42 @@ def _min_code(rot) -> Tuple[List[int], List[List[int]]]:
     if d == 0:
         raise ValueError("isolated vertex in embedding")
     edges = _root_edges(rot, degs, d)
-    block1 = [*range(2, d + 2), 0]
-    best: Optional[List[int]] = None
-    labels: List[List[int]] = []
+    live = []  # (doubled rotations, label, entry, order) of each candidate
     for dbl in ([r + r for r in rot], [r[::-1] * 2 for r in rot]):
         for u0, ends in edges:
             du = dbl[u0]
             for s, v0 in enumerate(du[:d]):
-                if v0 not in ends:
-                    continue
-                label = [0] * n
-                label[u0] = 1
-                entry = [0] * n
-                order = list(du[s:s + d])  # labels 2.., then grown breadth first
-                for lb, x in enumerate(order, 2):
-                    label[x] = lb
-                    entry[x] = u0
-                nxt = d + 2
-                out = block1[:] if best is None else None
-                i = d + 1
-                for x in order:
-                    dx = dbl[x]
-                    k = degs[x]
-                    p = dx.index(entry[x])
-                    block = []
-                    for y in dx[p:p + k]:
-                        lb = label[y]
-                        if not lb:
-                            label[y] = lb = nxt
-                            nxt += 1
-                            order.append(y)
-                            entry[y] = x
-                        block.append(lb)
-                    block.append(0)
-                    if out is not None:
-                        out += block
-                        continue
-                    j = i + k + 1
-                    ref = best[i:j]
-                    if block != ref:
-                        if block > ref:
-                            break
-                        out = best[:i]
-                        out += block
-                    i = j
-                else:
-                    if len(order) + 1 != n:
-                        raise ValueError("embedding is disconnected")
-                    if out is None:
-                        labels.append(label)
-                    else:
-                        best, labels = out, [label]
-    assert best is not None
-    return best, labels
+                if v0 in ends:
+                    order = list(du[s:s + d])  # labels 2.., then grown breadth first
+                    label = [0] * n
+                    for lb, x in enumerate([u0, *order], 1):
+                        label[x] = lb
+                    live.append((dbl, label, [u0] * n, order))
+    code = [*range(2, d + 2), 0]
+    for t in range(n - 1):
+        least = None
+        for c in live:
+            dbl, label, entry, order = c
+            if t == len(order):
+                raise ValueError("embedding is disconnected")
+            x = order[t]
+            dx = dbl[x]
+            p = dx.index(entry[x])
+            block = []
+            for y in dx[p:p + degs[x]]:
+                lb = label[y]
+                if not lb:
+                    order.append(y)
+                    label[y] = lb = len(order) + 1
+                    entry[y] = x
+                block.append(lb)
+            if least is None or block < least:
+                least, kept = block, [c]
+            elif block == least:
+                kept.append(c)
+        live = kept
+        code += least + [0]
+    return code, [label for _, label, _, _ in live]
 
 
 def canonical_code(t: Triangulation) -> bytes:

@@ -856,9 +856,8 @@ def reference_verify_triangulation(t: Triangulation) -> ValidityReport:
     return ValidityReport(True)
 
 
-def random_triangulation(rng: random.Random, n: int) -> Triangulation:
-    """Random expansion walk from K4 up to order n."""
-    t = K4
+def random_triangulation(rng: random.Random, n: int, t: Triangulation = K4) -> Triangulation:
+    """Random expansion walk from t (K4 by default) up to order n."""
     while t.n < n:
         kids = all_children(t)
         t = kids[rng.randrange(len(kids))]

@@ -441,14 +441,16 @@ _ROW = {"n": 9, "total": 50, "counts": {"1": 12, "2": 37, "3": 1}, "wall_time": 
     ([{**_ROW, "total": 51}], _NINE, r"^row n=9: total 51 and counts .* are not its records' 50 "),
     ([_ROW], _ONE_OF_NINE,
      r"^row n=9: total 50 and counts .* are not its records' 1 and \{2: 1\}$"),
+    ([_ROW, _ROW], _NINE, r"^row n=9: a second row for order 9$"),
 ])
 def test_json_rows_and_non_object_records_are_checked_on_load(census_default, rows, records,
                                                                message):
     """A malformed row (a count key that is not the decimal string of a
-    gamma_c >= 1, a count that is not an int), a row whose total or counts
-    differ from its order's records, a record that is not an object, or a
-    payload that is not an object with lists rows and records raises
-    ValueError naming it; the well-formed row with its records loads."""
+    gamma_c >= 1, a count that is not an int), a second row for one order, a
+    row whose total or counts differ from its order's records, a record that
+    is not an object, or a payload that is not an object with lists rows and
+    records raises ValueError naming it; the well-formed row with its records
+    loads."""
     nine = [r.to_dict() for r in census_default[1] if r.n == 9]
     (row,), _ = results_from_json(json.dumps({"rows": [_ROW], "records": nine}))
     assert (row.n, row.total, row.counts_by_gamma_c) == (9, 50, {1: 12, 2: 37, 3: 1})

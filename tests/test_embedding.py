@@ -152,8 +152,10 @@ def test_min_code_matches_every_candidate_verifier(code_levels_to_11):
     """The filtered kernel gives the code and the label arrays, in order, of
     the kernel that tries every root edge.  The sample: every class of
     orders 4..10 and the icosahedron, each relabelled twice and mirrored;
-    random triangulations of orders 14..30; and triangulations glued on a
-    face, whose degree-4 vertex has chord root edges."""
+    random triangulations of orders 14..30; triangulations glued on a face,
+    whose degree-4 vertex has chord root edges; and random triangulations of
+    orders 31..60 along one walk, each also relabelled and mirrored, where
+    more candidates stay live for longer."""
     rng = random.Random(20)
     classes = [t for n, level in code_levels_to_11.items() if n <= 10 for t in level.values()]
     classes.append(icosahedron())
@@ -170,11 +172,27 @@ def test_min_code_matches_every_candidate_verifier(code_levels_to_11):
         glued.append(glued_on_a_face(t1, rng.choice(faces(t1)), t2, rng.choice(faces(t2))))
     for g in glued:
         sample += [g, mirror(relabel(g, random_permutation(rng, g.n)))]
+    t = K4
+    for n in range(31, 61):  # one walk, taken at each order
+        t = random_triangulation(rng, n, t)
+        sample += [t, mirror(relabel(t, random_permutation(rng, t.n)))]
     # the least code of a glued antiprism pair starts only at chord root edges
     assert all(is_chord_root_edge(g, u, v) for g in glued[:3]
                for u, v in root_edges_of_least_code(g))
     for t in sample:
         assert _min_code(t.rot) == reference_min_code(t.rot)
+
+
+@pytest.mark.parametrize("t, message", [
+    (Triangulation(8, K4.rot + tuple(tuple(u + 4 for u in r) for r in K4.rot)),
+     "embedding is disconnected"),
+    (Triangulation(5, K4.rot + ((),)), "isolated vertex in embedding"),
+])
+def test_canonical_code_refuses_disconnected_and_isolated(t, message):
+    """Two disjoint K4s as one rotation system, and K4 with an isolated
+    fifth vertex: the coding kernel names each."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        canonical_code(t)
 
 
 def test_triangulation_from_code_matches_symbol_decoder(code_levels_to_11):
