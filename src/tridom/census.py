@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, TextIO,
                     Tuple)
 
@@ -427,10 +428,11 @@ def results_from_json(text: str) -> Tuple[List[CensusRow], List[CensusRecord]]:
             raise _load_error("row", d, exc, "n") from exc
         rows[row.n] = row
     records = [CensusRecord.from_dict(d) for d in payload["records"]]
+    counted = sorted(Counter((rec.n, rec.gamma_c) for rec in records).items())
     for row in rows.values():
-        values = [rec.gamma_c for rec in records if rec.n == row.n]
-        counts = {value: values.count(value) for value in set(values)}
-        if (row.total, row.counts_by_gamma_c) != (len(values), counts):
+        counts = {value: count for (n, value), count in counted if n == row.n}
+        total = sum(counts.values())
+        if (row.total, row.counts_by_gamma_c) != (total, counts):
             raise ValueError(f"row n={row.n}: total {row.total} and counts {row.counts_by_gamma_c}"
-                             f" are not its records' {len(values)} and {counts}")
+                             f" are not its records' {total} and {counts}")
     return list(rows.values()), records

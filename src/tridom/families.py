@@ -1,4 +1,4 @@
-"""Extremal triangulation families built from clique sums and edge gluings.
+"""Extremal triangulation families built from clique sums and icosahedron chains.
 
 The octahedron sum glues the 4-regular 6-vertex triangulation onto a face
 (a clique sum over a triangle): new triangle e, f, g inside face (a, b, c)
@@ -16,23 +16,27 @@ The sum is three calls of ``generate._insert_vertex``, which makes every
 vertex insertion; a degree-3 insertion into a face (a, b, c) of a member is
 ``_insert_vertex(t, (a, c, b))``, the first of them.
 
-The icosahedron chain glues k icosahedra along outer-face edges so that all
-copies share one vertex, then triangulates the outer hole with a fan of
-chords.  Consecutive copies meet the rest only in the shared vertex, w1 and
-the previous copy's w, so the chain is thin and ``exact_gamma_c`` solves it
-with the frontier DP, on the vertex order ``domination._dp_order`` finds
-(width 6 or 7 here, 8 or 9 in the built labelling).  Chain law, measured for k = 2..30: gamma = k + 1
-(the shared vertex and one interior vertex per copy) and
-gamma_c = ceil(5k/2) + 1, so the gap gamma_c - gamma = ceil(3k/2)
-(3, 5, 6, 8, ..., 45 at k = 30) grows with k over that whole range.  The
-tests pin gamma_c for k = 2..12 and both values at k = 2, 3, 4 and 13.
+The icosahedron chain is built copy by copy from the stored table: each
+next copy is the mirrored table relabelled so that it shares the vertex u
+and the previous copy's w, spliced into one list of rows across that edge,
+and a chord from w1 to the copy's w closes the quadrilateral it leaves, so
+the outer hole ends up triangulated by a fan of chords from w1.  The tests
+pin its rows for k = 2..30.  Consecutive copies meet the rest only in the
+shared vertex, w1 and the previous copy's w, so the chain is thin and
+``exact_gamma_c`` solves it with the frontier DP, on the vertex order
+``domination._dp_order`` finds (width 6 or 7 here, 8 or 9 in the built
+labelling).  Chain law, measured for k = 2..30: gamma = k + 1 (the shared
+vertex and one interior vertex per copy) and gamma_c = ceil(5k/2) + 1, so
+the gap gamma_c - gamma = ceil(3k/2) (3, 5, 6, 8, ..., 45 at k = 30) grows
+with k over that whole range.  The tests pin gamma_c for k = 2..12 and both
+values at k = 2, 3, 4 and 13.
 Whether this is the paper's chain is not settled here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Tuple
 
 from .generate import _insert_vertex
 from .planar import Face, Triangulation, is_face, triangulation_from_code
@@ -149,68 +153,31 @@ def _linear_from(seq: Tuple[int, ...], start: int) -> Tuple[int, ...]:
     return seq[i:] + seq[:i]
 
 
-def _glue_edge(t: Triangulation, a: int, b: int,
-               s: Triangulation, p: int, q: int) -> Tuple[Triangulation, List[int]]:
-    """Glue a mirrored copy of s onto t, identifying s's edge (p,q) with t's (a,b).
-
-    The copy lands in t's face containing the directed edge (a, b), opened
-    against s's face containing directed (p, q); mirroring s makes the two
-    orientations compatible.  Returns the merged triangulation and the label
-    map from s's vertices into it (fresh labels are assigned in ascending
-    order of the original s labels).
-    """
-    if b not in t.rot[a] or q not in s.rot[p]:
-        raise ValueError("gluing sites must be edges")
-    mapping = [0] * s.n
-    mapping[p] = a
-    mapping[q] = b
-    nxt = t.n
-    for x in range(s.n):
-        if x != p and x != q:
-            mapping[x] = nxt
-            nxt += 1
-    srev = [r[::-1] for r in s.rot]
-    rot = list(t.rot)
-    block_a = tuple(mapping[x] for x in _linear_from(tuple(srev[p]), q)[1:])
-    rot[a] = _linear_from(rot[a], b) + block_a
-    tb = _linear_from(rot[b], a)
-    block_b = tuple(mapping[x] for x in _linear_from(tuple(srev[q]), p)[1:])
-    rot[b] = tb[1:] + (a,) + block_b
-    for x in range(s.n):
-        if x != p and x != q:
-            rot.append(tuple(mapping[y] for y in srev[x]))
-    return Triangulation(t.n + s.n - 2, rot), mapping
-
-
-def _split_quad(t: Triangulation, q0: int, q1: int, q2: int, q3: int) -> Triangulation:
-    """Add the chord q1-q3 inside the quadrilateral face traced (q0,q1,q2,q3)."""
-    if t.succ(q1, q0) != q2 or t.succ(q2, q1) != q3 or t.succ(q3, q2) != q0 or t.succ(q0, q3) != q1:
-        raise ValueError("not a quadrilateral face")
-    rot = list(t.rot)
-    i1 = rot[q1].index(q0) + 1
-    rot[q1] = rot[q1][:i1] + (q3,) + rot[q1][i1:]
-    i3 = rot[q3].index(q2) + 1
-    rot[q3] = rot[q3][:i3] + (q1,) + rot[q3][i3:]
-    return Triangulation(t.n, rot)
-
-
 def icosa_chain(k: int) -> Triangulation:
     """Chain of k icosahedra sharing one vertex, outer hole fanned from w1.
 
-    Copies are glued edge to edge: the first pair along (u, v), then each
-    next copy along (u, w_i); all u's merge into a single vertex.  The outer
-    boundary (u, w_1, v, w_2, ..., w_k) is triangulated by the fixed fan of
-    chords w_1-w_j.  Order 10k + 2.
+    The first copy is the stored icosahedron with u = 0, v = 1 and w1 = 2.
+    Each next copy is its mirror, relabelled 0 -> u, 1 -> the previous
+    copy's w (v for the first pair) and 2..11 -> the next ten labels, and
+    spliced in across that edge: u's row runs on into the copy's row of u,
+    the old w's row into the copy's row of 1, and the ten new rows follow.
+    All u's are one vertex.  The chord w1-w_i then splits the quadrilateral
+    (w_{i-1}, w1, u, w_i), so the outer boundary (u, w_1, v, w_2, ..., w_k)
+    is triangulated by the fan of chords w_1-w_j.  Order 10k + 2; the rows
+    for k = 2..30 are pinned by the tests.
     """
     if k < 2:
         raise ValueError("chains need k >= 2")
-    ico = icosahedron()
-    t = ico
-    w1 = 2
-    prev_b = 1  # v of the first copy, then w_{i-1}
-    for _ in range(2, k + 1):
-        t, mapping = _glue_edge(t, 0, prev_b, ico, 0, 1)
-        wi = mapping[2]
-        t = _split_quad(t, prev_b, w1, 0, wi)
-        prev_b = wi
-    return t
+    rot = list(_ICOSAHEDRON)
+    w1, prev = 2, 1  # prev: v for the first pair, then w_{i-1}
+    for n in range(12, 10 * k + 2, 10):
+        label = (0, prev) + tuple(range(n, n + 10))
+        copy = [tuple(label[x] for x in reversed(r)) for r in _ICOSAHEDRON]
+        rot[0] = _linear_from(rot[0], prev) + _linear_from(copy[0], prev)[1:]
+        rot[prev] = _linear_from(rot[prev], 0)[1:] + _linear_from(copy[1], 0)
+        # The chord w1-w_i: w1's row ends in w_{i-1} and w_i's (the copy's
+        # row of 2) in u, so each end takes the other as its last neighbour.
+        rot[w1] += (n,)
+        rot += [copy[2] + (w1,)] + copy[3:]
+        prev = n
+    return Triangulation(len(rot), rot)

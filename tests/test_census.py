@@ -442,6 +442,9 @@ _ROW = {"n": 9, "total": 50, "counts": {"1": 12, "2": 37, "3": 1}, "wall_time": 
     ([_ROW], _ONE_OF_NINE,
      r"^row n=9: total 50 and counts .* are not its records' 1 and \{2: 1\}$"),
     ([_ROW, _ROW], _NINE, r"^row n=9: a second row for order 9$"),
+    ([{**_ROW, "counts": {"1": 12, "2": 36, "3": 2}}], _NINE,
+     r"^row n=9: total 50 and counts \{1: 12, 2: 36, 3: 2\} are not its records' 50 and "
+     r"\{1: 12, 2: 37, 3: 1\}$"),
 ])
 def test_json_rows_and_non_object_records_are_checked_on_load(census_default, rows, records,
                                                                message):

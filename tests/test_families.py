@@ -299,6 +299,11 @@ def test_icosahedron_stats():
 #: icosahedron was still built by tracing its face list.
 CHAIN_DIGEST_2_TO_12 = "87ae6cfe0fa375e53bb700e1019d079b63a80df276c130c424884b53210a934b"
 
+#: sha256 of repr([icosa_chain(k).rot for k in 13..30]), taken before each
+#: copy was spliced in directly: the long chains the order caps and README
+#: use keep their rows.
+CHAIN_DIGEST_13_TO_30 = "ecbc5a64cfb68e3b744981b0ea7cbd5581c8640f06c2799f77f4ddd7db62d69c"
+
 
 def test_icosahedron_is_stored_data():
     """The stored rotation table is the one the face list gives, with every
@@ -313,6 +318,7 @@ def test_icosahedron_is_stored_data():
     regular = [code for code, t in order12 if all(len(r) == 5 for r in t.rot)]
     assert regular == [canonical_code(ico)]
     assert _digest([icosa_chain(k).rot for k in range(2, 13)]) == CHAIN_DIGEST_2_TO_12
+    assert _digest([icosa_chain(k).rot for k in range(13, 31)]) == CHAIN_DIGEST_13_TO_30
 
 
 def test_icosahedron_code_same_from_every_face():
