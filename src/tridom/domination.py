@@ -14,8 +14,8 @@ Three routes to the connected domination number are provided:
   Kratsch and Nederlof, Inf. Comput. 2015);
 * ``gamma_c_by_contraction`` - the verifier, used to cross-check stored
   values (``census.verify_corpus``): iterative deepening over connected
-  acyclic edge sets, contracting each candidate set edge by edge and testing
-  whether the merged vertex is universal in the resulting minor.  It shares
+  acyclic edge sets, contracting each edge once as it joins the tree and
+  testing whether the merged vertex is universal in the minor.  It shares
   no search code with the other two routes, and is several times slower.
 
 ``exact_gamma_c`` answers any graph, and ``tridom solve`` uses it for every
@@ -68,7 +68,9 @@ adjacent to everything else, so the search succeeds at k = value-1; and a
 success at k yields a connected dominating set of size k+1 (the spanned
 vertex set), so it cannot succeed earlier.  Only acyclic edge sets are
 searched: a connected set with a cycle contracts to a minor on more than
-n-k vertices, where no vertex of degree n-k-1 is universal.
+n-k vertices, where no vertex of degree n-k-1 is universal.  Each branch
+carries its minor, so an edge is contracted once, when it joins the tree;
+contraction does not depend on edge order, so that minor is the tree's.
 
 Pruning soundness in the subset search: with s = |S| and m = k - s vertices
 still to add, every vertex that a superset grown from S covers lies within
@@ -263,13 +265,13 @@ def _gamma_c_search(g: Graph, k: int, adjn: List[int], balls: List[List[int]],
 
 
 def _require_cds_input(g: Graph) -> None:
-    _require_connected(g)
     if g.n < 2:
         raise ValueError("connected domination needs at least two vertices")
 
 
 def _cds_tables(g: Graph) -> Tuple[List[int], List[List[int]], int, int]:
     """Closed neighborhoods, distance balls, radius cap and the deepening start."""
+    _require_connected(g)
     adjn = _closed(g)
     balls, rmax = _distance_balls(g, adjn)
     ecc_max = rmax  # the last radius added is the diameter
@@ -507,6 +509,7 @@ def bfs_tree_cds(g: Graph) -> DominationCertificate:
     bound for the connected domination number, not necessarily tight.
     """
     _require_cds_input(g)
+    _require_connected(g)
     _, _, root = degree_stats(g)
     seen, queue, internal = 1 << root, [root], 0
     for x in queue:  # the loop reads what it appends
@@ -544,21 +547,6 @@ def contract_edge(g: Graph, e: Tuple[int, int]) -> Graph:
     return Graph(g.n - 1, adj)
 
 
-def _minor_has_universal_merge(g: Graph, edge_set: Tuple[Tuple[int, int], ...]) -> bool:
-    """Contract the edges in order; test whether the merged vertex is universal."""
-    labels = list(range(g.n))
-    cur = g
-    for x, y in edge_set:
-        cx, cy = labels[x], labels[y]
-        if cx == cy:
-            return False
-        lo, hi = (cx, cy) if cx < cy else (cy, cx)
-        cur = contract_edge(cur, (lo, hi))
-        labels = [lo if l == hi else (l - 1 if l > hi else l) for l in labels]
-    merged = labels[edge_set[0][0]]
-    return cur.adj[merged].bit_count() == cur.n - 1
-
-
 def contraction_search(g: Graph, k: int) -> Optional[Tuple[Tuple[int, int], ...]]:
     """Least connected set of k edges whose contraction merges to a universal vertex.
 
@@ -566,7 +554,9 @@ def contraction_search(g: Graph, k: int) -> Optional[Tuple[Tuple[int, int], ...]
     are compared as sorted tuples of (u, v) pairs and the lexicographically
     least success is returned, or None when no set of k edges works.  At
     k = 0 that is (), when g has a universal vertex.  The merged vertex has
-    degree n - k - 1 and stands for the k + 1 ends of the edges.
+    degree n - k - 1 and stands for the k + 1 ends of the edges.  Each branch
+    carries its minor: an edge is contracted once, as it joins the tree, and
+    a tree succeeds iff its merged vertex is universal in that minor.
     """
     _require_connected(g)
     if k < 0:
@@ -584,29 +574,29 @@ def contraction_search(g: Graph, k: int) -> Optional[Tuple[Tuple[int, int], ...]
         incident[b] |= 1 << i
     successes: List[Tuple[Tuple[int, int], ...]] = []
 
-    def grow(chosen: List[int], span: int, nbrs: int, forb: int) -> None:
+    def grow(chosen: List[int], nbrs: int, forb: int, minor: Graph, labels: List[int]) -> None:
+        # minor: g with the tree before chosen's last edge contracted; labels: g's vertices in it
+        x, y = edge_list[chosen[-1]]
+        lo, hi = sorted((labels[x], labels[y]))
+        minor = contract_edge(minor, (lo, hi))  # the tree is now vertex lo
         if len(chosen) == k:
-            eset = tuple(edge_list[i] for i in sorted(chosen))
-            if _minor_has_universal_merge(g, eset):
-                successes.append(eset)
+            if minor.adj[lo].bit_count() == minor.n - 1:
+                successes.append(tuple(edge_list[i] for i in sorted(chosen)))
             return
+        labels = [lo if l == hi else l - (l > hi) for l in labels]
         cand = nbrs & ~forb
         while cand:
             b = cand & -cand
             cand ^= b
             ei = b.bit_length() - 1
             x, y = edge_list[ei]
-            xin = span >> x & 1
-            if not (xin and span >> y & 1):  # skip cycle-closing edges
-                w = y if xin else x
-                chosen.append(ei)
-                grow(chosen, span | (1 << w), nbrs | incident[w], forb)
-                chosen.pop()
+            if labels[x] != labels[y]:  # skip cycle-closing edges: both ends in the tree
+                grow(chosen + [ei], nbrs | incident[x] | incident[y], forb, minor, labels)
             forb |= b
 
     for root in range(m):
         a, b = edge_list[root]
-        grow([root], (1 << a) | (1 << b), incident[a] | incident[b], (1 << (root + 1)) - 1)
+        grow([root], incident[a] | incident[b], (1 << (root + 1)) - 1, g, list(range(n)))
         if successes:
             return min(successes)
     return None
@@ -646,8 +636,7 @@ def classify(t: Triangulation) -> DominationCertificate:
     """
     g = underlying_graph(t)
     n = g.n
-    if n < 2:
-        raise ValueError("connected domination needs at least two vertices")
+    _require_cds_input(g)
     _, dmax, vmax = degree_stats(g)
     if dmax == n - 1:
         cert = DominationCertificate(1, 1 << vmax, METHOD_DELTA)

@@ -5,12 +5,13 @@ triangulations are re-enumerated by gluing directed triangles into closed
 surfaces, domination numbers are recomputed by raw subset enumeration, and
 connected sets by powerset filtering.  Agreement between these oracles and
 the fast paths is what the tests assert.  ``reference_minimum_cds``,
-``reference_gamma``, ``reference_min_code``,
-``reference_triangulation_from_code``, ``reference_successors``,
-``reference_screen``, ``reference_faces`` and
+``reference_gamma``, ``reference_minor_has_universal_merge``,
+``reference_min_code``, ``reference_triangulation_from_code``,
+``reference_successors``, ``reference_screen``, ``reference_faces`` and
 ``reference_verify_triangulation`` are different: they keep earlier forms of
 production code (the connected-domination search with only its coverage and
-distance prunes, the two-phase domination search, the coding kernel that
+distance prunes, the two-phase domination search, the contraction search's
+success test that contracts each tree from g, the coding kernel that
 tries every root edge, the symbol-by-symbol decoder, generation that builds
 every minimum-degree child before ranking its new vertex, and the face
 tracer with the validator built on it), to pin the exact certificates,
@@ -44,6 +45,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 from tridom import generate, planar
 from tridom.families import icosahedron
 from tridom.census import REFERENCE_CENSUS
+from tridom.domination import contract_edge
 from tridom.graphs import (
     PRUNE,
     STOP,
@@ -405,6 +407,26 @@ def reference_gamma(g: Graph) -> Tuple[int, int]:
     witness = lex_witness(0, 0, value)
     assert witness is not None
     return value, witness
+
+
+def reference_minor_has_universal_merge(g: Graph, edge_set: Tuple[Tuple[int, int], ...]) -> bool:
+    """Contract the edges in order; test whether the merged vertex is universal.
+
+    Each edge is contracted from g with ``domination.contract_edge``, with its
+    own label bookkeeping; an edge whose ends already merged closes a cycle,
+    and the set is refused.
+    """
+    labels = list(range(g.n))
+    cur = g
+    for x, y in edge_set:
+        cx, cy = labels[x], labels[y]
+        if cx == cy:
+            return False
+        lo, hi = (cx, cy) if cx < cy else (cy, cx)
+        cur = contract_edge(cur, (lo, hi))
+        labels = [lo if l == hi else (l - 1 if l > hi else l) for l in labels]
+    merged = labels[edge_set[0][0]]
+    return cur.adj[merged].bit_count() == cur.n - 1
 
 
 def order_width(g: Graph, order: Iterable[int]) -> int:

@@ -28,7 +28,8 @@ from tridom.census import (
     rows_to_csv,
     verify_corpus,
 )
-from tridom.domination import exact_gamma, exact_gamma_c
+from tridom.domination import (METHOD_BFS_TREE, METHOD_SUBSET, DominationCertificate,
+                               exact_gamma, exact_gamma_c)
 from tridom.generate import levels, triangulations
 from tridom.graphs import bits, induces_connected, is_dominating
 from tridom.planar import triangulation_from_code
@@ -130,6 +131,9 @@ def test_compare_reference_detects_perturbation():
     row = CensusRow(9, 50, {1: 12, 2: 36, 3: 2}, 0.0)
     diff = compare_reference([row])
     assert len(diff.mismatches) == 2  # gamma_c=2 and gamma_c=3 cells
+    diff = compare_reference([CensusRow(9, 51, {1: 12, 2: 37, 3: 1}, 0.0)])
+    assert diff.mismatches == ["n=9 total: got 51, reference 50"]
+    assert not diff.ok
 
 
 def test_compare_reference_flags_rows_without_oracle():
@@ -222,13 +226,47 @@ def test_verify_corpus_clean(census_default):
     assert report.violations == []
 
 
-def test_verify_corpus_catches_corruption(census_default):
+def test_verify_corpus_catches_corruption(census_default, monkeypatch):
+    """A lowered order-9 value is caught; and each doctored copy of an
+    order-10 class with gamma_c = 2 and Delta = n - 4 trips the message of
+    its own check, and only the checks its lie reaches."""
     _, records = census_default
     rec = next(r for r in records if r.n == 9 and r.gamma_c == 3)
     bad = copy.copy(rec)
     bad.gamma_c = 2  # lie about the value
     report = verify_corpus([bad])
     assert not report.ok
+
+    def messages(record):
+        violations = verify_corpus([record]).violations
+        prefix = f"n={record.n} code={record.code.hex()}: "
+        assert all(v.startswith(prefix) for v in violations)
+        return [v[len(prefix):] for v in violations]
+
+    rec = next(r for r in records if r.n == 10 and r.gamma_c == 2 and r.Delta == r.n - 4)
+    assert messages(rec) == []
+    witness_msg = "stored witness is not a connected dominating set of size gamma_c"
+    cases = [
+        ({"_gamma_cert": DominationCertificate(3, 0, METHOD_SUBSET)},
+         ["gamma 3 exceeds gamma_c 2"]),
+        ({"Delta": rec.n - rec.gamma_c + 1},
+         ["gamma_c 2 exceeds n - Delta = 1", "tree bound witness has 4 > n - Delta vertices"]),
+        ({"gamma_c": 4},
+         [witness_msg, "gamma_c 4 exceeds floor(n/3) = 3",
+          "Delta = n-4 but gamma_c = 4 not in {2, 3}",
+          "contraction solver disagrees with stored value"]),
+        ({"gamma_c": 1},
+         [witness_msg, "gamma 2 exceeds gamma_c 1", "Delta = n-4 but gamma_c = 1 not in {2, 3}",
+          "contraction solver disagrees with stored value"]),
+    ]
+    for fields, want in cases:
+        bad = copy.copy(rec)
+        for name, value in fields.items():
+            setattr(bad, name, value)
+        assert messages(bad) == want, fields
+    monkeypatch.setattr(census, "bfs_tree_cds",
+                        lambda g: DominationCertificate(1, 1, METHOD_BFS_TREE))  # not dominating
+    assert messages(rec) == ["tree bound witness is not a connected dominating set"]
 
 
 def test_verify_corpus_cross_check_catches_value_one_too_high(census_default):

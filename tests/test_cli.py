@@ -1,3 +1,4 @@
+import copy
 import errno
 import json
 import multiprocessing
@@ -7,7 +8,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tridom import cli, domination
+from tridom import census as census_mod, cli, domination
+from tridom.domination import METHOD_SUBSET, DominationCertificate
 from tridom.cli import main
 from tridom.graphs import graph6_read, graph6_write
 from tridom.planar import Triangulation, planar_code_read, underlying_graph
@@ -460,6 +462,19 @@ def test_family_a_export(tmp_path):
 def test_verify_small_range(capsys):
     assert main(["verify", "--n-min", "5", "--n-max", "8", "--cross-max-n", "8"]) == 0
     assert "0 violations" in capsys.readouterr().out
+
+
+def test_verify_prints_a_violation_and_fails(capsys, monkeypatch):
+    """A record whose gamma exceeds its gamma_c is printed as a VIOLATION
+    line, and verify exits 1."""
+    rec = next(r for r in census_mod.census_records(10, 10)[1] if r.gamma_c == 2)
+    bad = copy.copy(rec)
+    bad._gamma_cert = DominationCertificate(3, 0, METHOD_SUBSET)
+    monkeypatch.setattr(census_mod, "classified", lambda n_min, n_max, workers: [(10, [bad])])
+    assert main(["verify", "--n-min", "10", "--n-max", "10"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"VIOLATION n=10 code={rec.code.hex()}: gamma 3 exceeds gamma_c 2",
+                   "checked 1 graphs, 7 checks, 1 violations"]
 
 
 def test_extremal_where(capsys):

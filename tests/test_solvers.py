@@ -51,6 +51,7 @@ from helpers import (
     random_permutation,
     reference_gamma,
     reference_minimum_cds,
+    reference_minor_has_universal_merge,
     relabel,
     star_graph,
     wheel_graph,
@@ -169,6 +170,9 @@ def test_bfs_tree_cds_examples():
     assert bfs_tree_cds(oc).value <= 2
     ico = underlying_graph(icosahedron())
     assert bfs_tree_cds(ico).value <= 7  # n - Delta = 12 - 5
+    # a tree of one component would dominate only that component
+    with pytest.raises(ValueError, match="graph is disconnected"):
+        bfs_tree_cds(Graph(4, [0b10, 0b1, 0b1000, 0b100]))
 
 
 def test_bfs_tree_cds_is_always_a_cds_within_bound():
@@ -229,8 +233,6 @@ def test_contraction_search_examples():
 
 def test_contraction_search_returns_lex_least_witness():
     """Brute-force all connected acyclic k-edge sets and compare minima."""
-    from itertools import combinations
-    from tridom.domination import _minor_has_universal_merge
     rng = random.Random(53)
     cases = [underlying_graph(octahedron())]
     cases += [random_connected_graph(rng, rng.randint(5, 8), 0.45) for _ in range(8)]
@@ -257,7 +259,7 @@ def test_contraction_search_returns_lex_least_witness():
                 seen |= frontier
             if seen != span:  # not connected
                 continue
-            if _minor_has_universal_merge(g, combo):
+            if reference_minor_has_universal_merge(g, combo):
                 successes.append(combo)
         want = min(successes)
         assert contraction_search(g, k) == want
@@ -274,6 +276,23 @@ def test_gamma_c_by_contraction_examples():
     assert cert.value == 4  # found at k = 3
     assert cert.witness.bit_count() == 4
     assert is_dominating(ico, cert.witness) and induces_connected(ico, cert.witness)
+
+
+def test_contraction_search_contracts_each_tree_edge_once(monkeypatch):
+    """Each branch of the search carries its minor, so an edge is contracted
+    once, when it joins the tree, and trees that share a prefix share its
+    contractions: 243 calls on the icosahedron, where contracting every
+    complete tree again from g took 432."""
+    calls = []
+
+    def counted(g, e, _contract=contract_edge):
+        calls.append(e)
+        return _contract(g, e)
+
+    monkeypatch.setattr(domination, "contract_edge", counted)
+    cert = gamma_c_by_contraction(underlying_graph(icosahedron()))
+    assert cert == (4, 1035, METHOD_CONTRACTION)
+    assert len(calls) == 243
 
 
 def test_contraction_agrees_with_subset_search_small(levels_to_9):
@@ -316,16 +335,8 @@ def test_spanning_tree_of_minimum_cds_contracts_to_universal():
                     tree.append((min(x, y), max(x, y)))
                     queue.append(y)
         assert len(tree) == k
-        # contract the tree edge by edge, tracking labels
-        labels = list(range(g.n))
-        cur = g
-        for x, y in tree:
-            cx, cy = labels[x], labels[y]
-            lo, hi = min(cx, cy), max(cx, cy)
-            cur = contract_edge(cur, (lo, hi))
-            labels = [lo if l == hi else (l - 1 if l > hi else l) for l in labels]
-        merged = labels[members[0]]
-        assert cur.degree(merged) == cur.n - 1
+        # contract the tree edge by edge from g: the merged vertex is universal
+        assert reference_minor_has_universal_merge(g, tuple(tree))
         # and the search finds a witness at the same depth
         assert contraction_search(g, k) is not None
 
@@ -439,7 +450,9 @@ def test_subset_gamma_c_matches_the_reference_search_property(g):
 
 
 def test_subset_gamma_c_checks_its_input_before_scanning():
-    """A one-vertex graph would pass the size-1 scan; it is refused first, and
+    """A one-vertex graph would pass the size-1 scan, so the order is checked
+    before the scans.  Connectivity is proved by a scan's answer, a connected
+    set that dominates, or checked before the search tables are built, so
     disconnected input keeps its message on both entry points, also where
     classify's Δ = n - 2 shortcut would look for a common neighbour."""
     disconnected = "graph is disconnected; graphs with more than one component"
@@ -457,12 +470,17 @@ def test_subset_gamma_c_checks_its_input_before_scanning():
 
 def test_classify_refuses_fewer_than_two_vertices():
     """The Δ shortcut would answer 1 for a single vertex; classify refuses it
-    with the message of the other connected-domination entry points."""
+    with the message of the other connected-domination entry points.  They
+    check the order before connectivity, which is undefined for the empty
+    graph, so it gets the same message."""
     one = Triangulation(1, ((),))
-    for refuse in (lambda: classify(one), lambda: classify(Triangulation(0, ())),
-                   lambda: subset_gamma_c(underlying_graph(one)),
-                   lambda: exact_gamma_c(underlying_graph(one)),
-                   lambda: gamma_c_by_contraction(underlying_graph(one))):
+    refusals = [lambda: classify(one), lambda: classify(Triangulation(0, ())),
+                lambda: subset_gamma_c(underlying_graph(one)),
+                lambda: exact_gamma_c(underlying_graph(one)),
+                lambda: gamma_c_by_contraction(underlying_graph(one))]
+    refusals += [lambda fn=fn: fn(Graph(0, [])) for fn in (
+        subset_gamma_c, exact_gamma_c, all_minimum_cds, gamma_c_by_contraction, bfs_tree_cds)]
+    for refuse in refusals:
         with pytest.raises(ValueError, match="connected domination needs at least two vertices"):
             refuse()
 
